@@ -176,7 +176,7 @@ def certificate_for(
 ) -> ContractionCertificate:
     """Build a contraction certificate for the inclusion U in X."""
     if method == DILATION:
-        R = diameter_bound(U, samples=samples, seed=seed)
+        R = diameter_bound(U)
         r = inner_gap(U, X, samples=samples, seed=seed)
         return dilation_constant(R, r, X=X, U=U)
     if method == TANH_DIAMETER:

@@ -339,7 +339,7 @@ def boundary_distance(d: Domain, p) -> float:
     return d.boundary_distance(p)
 
 
-def diameter_bound(U: Domain, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
+def diameter_bound(U: Domain) -> float:
     """Certified upper bound on the Euclidean diameter of U.
 
     Exact for polydiscs (2 * ||radii||_2); the bounding-box diagonal, always

@@ -1,23 +1,40 @@
-"""Kernel selection: compiled extension when available, numpy fallback.
+"""Path-length quadrature kernel on polydiscs (numpy).
 
-Set HYPERMETRIC_PURE_PYTHON=1 to force the fallback (used by the benchmark
-and by tests that compare the two implementations).  The batched kernel
-`polyline_lengths` exists only in numpy form and is exposed whichever
-single-polyline kernel is active.
+Given polyline vertices in a polydisc and quadrature nodes/weights on
+[0, 1], the kernel returns the metric length of each polyline, or -1.0 if
+any quadrature node leaves the polydisc (nonpositive denominator).
+
+`polyline_lengths` takes a (B, m, n) stack of polylines, so the numpy
+overhead is paid once per stack rather than once per polyline;
+`polyline_length` is the single-polyline form of the same computation.
 """
 
-import os
+import numpy as np
 
-from . import _speedups_py
 
-if os.environ.get("HYPERMETRIC_PURE_PYTHON"):
-    impl = _speedups_py
-else:
-    try:
-        from . import _speedups as impl  # type: ignore[attr-defined]
-    except ImportError:
-        impl = _speedups_py
+def polyline_lengths(stack, centers, radii, nodes, weights):
+    """Lengths of a (B, m, n) stack of polylines; -1.0 where a polyline escapes."""
+    stack = np.asarray(stack, dtype=complex)
+    centers = np.asarray(centers, dtype=complex)
+    radii = np.asarray(radii, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    weights = np.asarray(weights, dtype=float)
 
-COMPILED = bool(getattr(impl, "COMPILED", False))
-polyline_length = impl.polyline_length
-polyline_lengths = _speedups_py.polyline_lengths
+    seg = stack[:, 1:] - stack[:, :-1]  # (B, m-1, n)
+    z = stack[:, :-1, None, :] + nodes[None, None, :, None] * seg[:, :, None, :]
+    den = radii**2 - np.abs(z - centers) ** 2  # (B, m-1, q, n)
+    escaped = np.any(den <= 0.0, axis=(1, 2, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = radii * np.abs(seg)[:, :, None, :] / den
+    e = val.max(axis=3)  # (B, m-1, q)
+    out = (e @ weights).sum(axis=1)
+    out[escaped] = -1.0
+    return out
+
+
+def polyline_length(verts, centers, radii, nodes, weights):
+    """Length of one (m, n) polyline; 0.0 below two vertices, -1.0 on escape."""
+    verts = np.asarray(verts, dtype=complex)
+    if verts.ndim != 2 or verts.shape[0] < 2:
+        return 0.0
+    return float(polyline_lengths(verts[None], centers, radii, nodes, weights)[0])

@@ -26,6 +26,8 @@ from .domains import (
     as_point,
     as_vector,
     contains,
+    diameter_bound,
+    inner_gap,
     sample,
 )
 from .errors import (
@@ -104,13 +106,6 @@ def poincare_metric(z: complex, v: complex) -> float:
     return abs(v) / (1 - abs(z) ** 2)
 
 
-def _polydisc_metric_value(d: Polydisc, z: np.ndarray, v: np.ndarray) -> float:
-    den = d.radii**2 - np.abs(z - d.centers) ** 2
-    if np.any(den <= 0):
-        raise MembershipError("point is not in the polydisc")
-    return float((d.radii * np.abs(v) / den).max())
-
-
 # ---------------------------------------------------------------------------
 # competitor families (certified lower bounds on semi-analytic domains)
 
@@ -151,7 +146,7 @@ class _DefiningCompetitor(_Competitor):
         return complex(self.holomap.eval_array(z)[0]) / self.threshold
 
     def deriv(self, z, v):
-        return complex(self.holomap.jvp(Point(z), v)[0]) / self.threshold
+        return complex(self.holomap.components[0].eval_dual(z, v)[1]) / self.threshold
 
 
 def competitor_family(
@@ -200,17 +195,11 @@ def caratheodory_metric(
     if not contains(d, x):
         raise MembershipError(f"point {x.coords} is not in the domain")
     varr = as_vector(v, d.dim)
-    z = x.as_array()
-    if isinstance(d, Polydisc):
-        return Bound(_polydisc_metric_value(d, z, varr), EXACT)
-    best = 0.0
-    for comp in _competitors_for(d, directions, seed):
-        w = comp.value(z)
-        if abs(w) >= 1:
-            continue
-        cand = abs(comp.deriv(z, varr)) / (1 - abs(w) ** 2)
-        best = max(best, cand)
-    return Bound(best, LOWER, tol=1e-12 * (1 + best))
+    field = metric_field(d, "caratheodory", directions=directions, seed=seed)
+    value = field.eval(x.as_array(), varr)
+    if field.kind == EXACT:
+        return Bound(value, EXACT)
+    return Bound(value, LOWER, tol=1e-12 * (1 + value))
 
 
 _ZETA_RADII = (0.25, 0.5, 0.75, 0.9, 0.97, 0.995, 0.9995)
@@ -267,19 +256,14 @@ def kobayashi_metric(
     vnorm = float(np.linalg.norm(varr))
     if vnorm == 0.0:
         return Bound(0.0, EXACT)
-    if isinstance(d, Polydisc):
-        return Bound(_polydisc_metric_value(d, z, varr), EXACT)
-    u = varr / vnorm
-    rho = _affine_disk_radius(d, z, u, tol)
-    if rho <= 0:
-        raise PathInvalidError("no affine analytic disk fits at this point")
-    best = vnorm / rho
+    field = metric_field(d, "kobayashi", tol=tol)
+    best = field.eval(z, varr)
+    if field.kind == EXACT:
+        return Bound(best, EXACT)
     if inner is not None and contains(inner, x):
-        from .domains import diameter_bound, inner_gap
-
         R = diameter_bound(inner)
         r = inner_gap(inner, d)
-        rho_inner = _affine_disk_radius(inner, z, u, tol)
+        rho_inner = _affine_disk_radius(inner, z, varr / vnorm, tol)
         if rho_inner > 0:
             best = min(best, vnorm / (rho_inner * (1 + r / R)))
     return Bound(best, UPPER, tol=tol * best)
@@ -343,7 +327,10 @@ class PolydiscModelField(MetricField):
         self.model = (self.centers, self.radii)
 
     def eval(self, z, v):
-        return _polydisc_metric_value(self.domain, z, v)
+        den = self.radii**2 - np.abs(z - self.centers) ** 2
+        if np.any(den <= 0):
+            raise MembershipError("point is not in the polydisc")
+        return float((self.radii * np.abs(v) / den).max())
 
 
 class CompetitorMetricField(MetricField):
@@ -380,7 +367,7 @@ class AnalyticDiskField(MetricField):
             return 0.0
         rho = _affine_disk_radius(self.domain, z, v / vnorm, self.tol)
         if rho <= 0:
-            raise PathInvalidError("no affine analytic disk fits along the path")
+            raise PathInvalidError("no affine analytic disk fits at this point")
         return vnorm / rho
 
 
@@ -427,13 +414,9 @@ def _length_of(field: MetricField, verts: np.ndarray, order: int) -> float:
     """Quadrature length of the polyline; +inf if a node leaves the domain."""
     if verts.shape[0] < 2:
         return 0.0
-    nodes, weights = _gauss01(order)
     if field.model is not None:
-        centers, radii = field.model
-        val = kernels.polyline_length(
-            np.ascontiguousarray(verts, dtype=complex), centers, radii, nodes, weights
-        )
-        return math.inf if val < 0 else val
+        return float(_lengths_of(field, verts[None], order)[0])
+    nodes, weights = _gauss01(order)
     total = 0.0
     for s in range(verts.shape[0] - 1):
         seg = verts[s + 1] - verts[s]

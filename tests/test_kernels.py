@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from hypermetric import _speedups_py
 from hypermetric import kernels
 
 
@@ -12,76 +11,79 @@ def _gauss01(order):
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _implementations():
-    impls = [("fallback", _speedups_py.polyline_length)]
-    try:
-        from hypermetric import _speedups
-
-        impls.append(("compiled", _speedups.polyline_length))
-    except ImportError:
-        pass
-    return impls
+def _batched(verts, centers, radii, nodes, weights):
+    """The batched entry point on a stack holding one polyline."""
+    stack = np.asarray(verts, dtype=complex)[None]
+    return float(kernels.polyline_lengths(stack, centers, radii, nodes, weights)[0])
 
 
-IMPLS = _implementations()
+ENTRY_POINTS = [
+    pytest.param(kernels.polyline_length, id="polyline_length"),
+    pytest.param(_batched, id="polyline_lengths"),
+]
 
 
-@pytest.mark.parametrize("name,impl", IMPLS)
-class TestPolylineLength:
-    def test_radial_segment_matches_closed_form(self, name, impl):
-        verts = np.array([[0.0 + 0j], [0.5 + 0j]])
-        centers = np.zeros(1, dtype=complex)
-        radii = np.ones(1)
-        nodes, weights = _gauss01(32)
-        got = impl(verts, centers, radii, nodes, weights)
-        assert got == pytest.approx(math.atanh(0.5), abs=1e-10)
-
-    def test_escape_sentinel(self, name, impl):
-        verts = np.array([[0.0 + 0j], [1.5 + 0j]])
-        centers = np.zeros(1, dtype=complex)
-        radii = np.ones(1)
-        nodes, weights = _gauss01(8)
-        assert impl(verts, centers, radii, nodes, weights) == -1.0
-
-    def test_single_vertex_zero(self, name, impl):
-        verts = np.array([[0.3 + 0.1j]])
-        centers = np.zeros(1, dtype=complex)
-        radii = np.ones(1)
-        nodes, weights = _gauss01(8)
-        assert impl(verts, centers, radii, nodes, weights) == 0.0
-
-
-@pytest.mark.skipif(len(IMPLS) < 2, reason="compiled kernel unavailable")
-class TestParity:
-    def test_random_polylines_agree(self):
-        from hypermetric import _speedups
-
-        rng = np.random.default_rng(99)
-        nodes, weights = _gauss01(16)
-        for _ in range(25):
-            n = int(rng.integers(1, 4))
-            centers = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(complex)
-            radii = rng.uniform(0.5, 2.0, size=n)
-            m = int(rng.integers(2, 9))
-            # vertices strictly inside the polydisc
-            t = rng.uniform(0, 0.9, size=(m, n))
-            ang = rng.uniform(0, 2 * math.pi, size=(m, n))
-            verts = centers + t * radii * np.exp(1j * ang)
-            a = _speedups.polyline_length(
-                np.ascontiguousarray(verts), centers, radii, nodes, weights
-            )
-            b = _speedups_py.polyline_length(verts, centers, radii, nodes, weights)
-            assert a == pytest.approx(b, abs=1e-12, rel=1e-12)
-
-    def test_selector_exposes_one_of_them(self):
-        assert kernels.polyline_length in {impl for _, impl in IMPLS}
-        assert isinstance(kernels.COMPILED, bool)
+def reference_length(verts, centers, radii, nodes, weights):
+    """Per-segment, per-node quadrature of max_j r_j |v_j| / (r_j^2 - |z_j - c_j|^2)."""
+    total = 0.0
+    for p, q in zip(verts, verts[1:]):
+        for t, w in zip(nodes, weights):
+            best = 0.0
+            for pj, qj, cj, rj in zip(p, q, centers, radii):
+                den = rj * rj - abs(pj + t * (qj - pj) - cj) ** 2
+                if den <= 0.0:
+                    return -1.0
+                best = max(best, rj * abs(qj - pj) / den)
+            total += w * best
+    return total
 
 
 def _random_stack(rng, batch, m, n, centers, radii, reach=0.9):
     t = rng.uniform(0, reach, size=(batch, m, n))
     ang = rng.uniform(0, 2 * math.pi, size=(batch, m, n))
     return centers + t * radii * np.exp(1j * ang)
+
+
+@pytest.mark.parametrize("length", ENTRY_POINTS)
+class TestPolylineLength:
+    def test_radial_segment_matches_closed_form(self, length):
+        verts = np.array([[0.0 + 0j], [0.5 + 0j]])
+        centers = np.zeros(1, dtype=complex)
+        radii = np.ones(1)
+        nodes, weights = _gauss01(32)
+        got = length(verts, centers, radii, nodes, weights)
+        assert got == pytest.approx(math.atanh(0.5), abs=1e-10)
+
+    def test_escape_sentinel(self, length):
+        verts = np.array([[0.0 + 0j], [1.5 + 0j]])
+        centers = np.zeros(1, dtype=complex)
+        radii = np.ones(1)
+        nodes, weights = _gauss01(8)
+        assert length(verts, centers, radii, nodes, weights) == -1.0
+
+    def test_single_vertex_zero(self, length):
+        verts = np.array([[0.3 + 0.1j]])
+        centers = np.zeros(1, dtype=complex)
+        radii = np.ones(1)
+        nodes, weights = _gauss01(8)
+        assert length(verts, centers, radii, nodes, weights) == 0.0
+
+    def test_matches_reference(self, length):
+        rng = np.random.default_rng(99)
+        escaped = 0
+        for order in (4, 8, 16):
+            nodes, weights = _gauss01(order)
+            for _ in range(20):
+                n = int(rng.integers(1, 4))
+                centers = rng.normal(size=n) + 1j * rng.normal(size=n)
+                radii = rng.uniform(0.5, 2.0, size=n)
+                m = int(rng.integers(2, 9))
+                verts = _random_stack(rng, 1, m, n, centers, radii, reach=1.1)[0]
+                want = reference_length(verts, centers, radii, nodes, weights)
+                got = length(verts, centers, radii, nodes, weights)
+                escaped += want == -1.0
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert 0 < escaped < 60
 
 
 class TestBatchedFallback:
@@ -93,11 +95,11 @@ class TestBatchedFallback:
             centers = rng.normal(size=n) + 1j * rng.normal(size=n)
             radii = rng.uniform(0.5, 2.0, size=n)
             batch, m = int(rng.integers(1, 40)), int(rng.integers(2, 9))
-            stack = _random_stack(rng, batch, m, n, centers, radii)
-            got = _speedups_py.polyline_lengths(stack, centers, radii, nodes, weights)
+            stack = _random_stack(rng, batch, m, n, centers, radii, reach=1.1)
+            got = kernels.polyline_lengths(stack, centers, radii, nodes, weights)
             assert got.shape == (batch,)
             for verts, value in zip(stack, got):
-                want = _speedups_py.polyline_length(verts, centers, radii, nodes, weights)
+                want = kernels.polyline_length(verts, centers, radii, nodes, weights)
                 assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_escape_sentinel_only_where_escaping(self):
@@ -110,9 +112,6 @@ class TestBatchedFallback:
         escaping[[2, 5, 6, 11]] = True
         # push the middle vertex of those polylines out of the second factor
         stack[escaping, 1, 1] = centers[1] + 1.5 * radii[1]
-        got = _speedups_py.polyline_lengths(stack, centers, radii, nodes, weights)
+        got = kernels.polyline_lengths(stack, centers, radii, nodes, weights)
         assert np.array_equal(got == -1.0, escaping)
         assert np.all(got[~escaping] > 0)
-
-    def test_selector_exposes_batched_kernel(self):
-        assert kernels.polyline_lengths is _speedups_py.polyline_lengths
