@@ -101,11 +101,13 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, samples=True, iteration=False):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+        if samples:
+            p.add_argument("--samples", type=int, default=None)
+        if iteration:
+            p.add_argument("--tol", type=float, default=None)
+            p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
         p.add_argument("--out", default=None, help="write the JSON result here")
         p.add_argument(
             "--config", default=None, help="JSON config file ('-' for stdin)"
@@ -118,7 +120,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--metric", choices=["caratheodory", "kobayashi", "poincare"], default=None
     )
-    common(p)
+    common(p, samples=False)
 
     p = sub.add_parser("distance", help="evaluate a pseudodistance")
     p.add_argument("--domain", default=None)
@@ -134,7 +136,7 @@ def build_parser() -> _Parser:
         ],
         default=None,
     )
-    common(p)
+    common(p, samples=False)
 
     p = sub.add_parser("diameter", help="invariant diameter of U inside X")
     p.add_argument("--X", dest="X", default=None)
@@ -164,7 +166,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", default=None, help="write the iteration trace CSV here")
     p.add_argument("--step-invariant", action="store_true", default=None)
     p.add_argument("--override-range", action="store_true", default=None)
-    common(p)
+    common(p, iteration=True)
 
     return parser
 
@@ -206,7 +208,7 @@ def _dispatch(args) -> tuple:
     file_cfg = _load_config(args)
     cmd = args.command
     if cmd == "metric":
-        cfg = _resolve(args, file_cfg, ["domain", "point", "vector", "metric", "seed", "samples"])
+        cfg = _resolve(args, file_cfg, ["domain", "point", "vector", "metric", "seed"])
         point = parse_point_literal(_need(cfg, "point"))
         vector = [parse_complex_literal(p) for p in _need(cfg, "vector").split(",")]
         which = cfg["metric"]
@@ -220,7 +222,7 @@ def _dispatch(args) -> tuple:
             b = caratheodory_metric(d, point, vector, seed=cfg["seed"])
         return cfg, b.to_json()
     if cmd == "distance":
-        cfg = _resolve(args, file_cfg, ["domain", "a", "b", "kind", "seed", "samples"])
+        cfg = _resolve(args, file_cfg, ["domain", "a", "b", "kind", "seed"])
         a = parse_point_literal(_need(cfg, "a"))
         b = parse_point_literal(_need(cfg, "b"))
         kind = cfg["kind"] or "caratheodory"

@@ -24,8 +24,6 @@ from .domains import (
     Point,
     Polydisc,
     _sphere_directions,
-    as_point,
-    contains,
     diameter_bound,
     inner_gap,
     sample,
@@ -84,7 +82,6 @@ def caratheodory_diameter(
     U: Domain,
     samples: int = 512,
     seed: int = 0,
-    force_sampled: bool = False,
 ) -> Bound:
     """Diameter of U for the Carathéodory pseudodistance of X.
 
@@ -94,8 +91,7 @@ def caratheodory_diameter(
     """
     inner_gap(U, X, samples=samples, seed=seed)  # probes relative compactness
     if (
-        not force_sampled
-        and isinstance(X, Polydisc)
+        isinstance(X, Polydisc)
         and isinstance(U, Polydisc)
         and np.allclose(X.centers, U.centers)
     ):
@@ -119,25 +115,21 @@ def caratheodory_diameter(
     best = 0.0
     for i in range(cap):
         for j in range(i + 1, cap):
-            best = max(
-                best, caratheodory_distance(X, Point(pts[i]), Point(pts[j])).value
-            )
+            best = max(best, caratheodory_distance(X, pts[i], pts[j]).value)
     return Bound(best, LOWER)
 
 
 def _extremal_probes(U: Domain, seed: int, backoff: float = 1e-3) -> list:
-    """Near-boundary antipodal probes so sampled suprema are nearly sharp."""
-    out = []
-    if isinstance(U, Polydisc):
-        delta = backoff * U.box_scale()
-        for u in _sphere_directions(U.dim, 4 * U.dim + 8, seed):
-            scale = np.where(np.abs(u) > 0, U.radii / np.maximum(np.abs(u), 1e-300), np.inf).min()
-            z = U.centers + u * (scale - delta)
-            mirror = U.centers - u * (scale - delta)
-            if contains(U, Point(z)) and contains(U, Point(mirror)):
-                out.append(z)
-                out.append(mirror)
-    return out
+    """Near-boundary antipodal pairs in U, so sampled suprema are nearly sharp."""
+    if not isinstance(U, Polydisc):
+        return []
+    dirs = _sphere_directions(U.dim, 4 * U.dim + 8, seed)
+    size = np.abs(dirs)
+    scale = np.where(size > 0, U.radii / np.maximum(size, 1e-300), np.inf).min(axis=1)
+    step = dirs * (scale - backoff * U.box_scale())[:, None]
+    pairs = np.stack([U.centers + step, U.centers - step], axis=1)  # (k, 2, n)
+    keep = U.contains_many(pairs.reshape(-1, U.dim)).reshape(-1, 2).all(axis=1)
+    return list(pairs[keep].reshape(-1, U.dim))
 
 
 def tanh_diameter_constant(

@@ -111,11 +111,19 @@ class Domain:
     def contains(self, p) -> bool:
         raise NotImplementedError
 
+    def contains_many(self, Z) -> np.ndarray:
+        """Membership of each row of an (N, dim) complex array, as N bools.
+
+        A row with a non-finite coordinate is outside.  Raises ArgumentError
+        unless Z is 2-D with dim columns.
+        """
+        raise NotImplementedError
+
     def boundary_distance(self, p) -> float:
         raise NotImplementedError
 
     def box(self) -> np.ndarray:
-        """Per-coordinate bounding box: rows (re_lo, re_hi, im_lo, im_im)."""
+        """Per-coordinate bounding box: rows (re_lo, re_hi, im_lo, im_hi)."""
         raise NotImplementedError
 
     def box_scale(self) -> float:
@@ -135,6 +143,12 @@ class Domain:
                 f"point has dimension {p.dim}, domain has dimension {self.dim}"
             )
         return p
+
+    def _check_rows(self, Z) -> np.ndarray:
+        Z = np.asarray(Z, dtype=complex)
+        if Z.ndim != 2 or Z.shape[1] != self.dim:
+            raise ArgumentError(f"points must form an (N, {self.dim}) array, got {Z.shape}")
+        return Z
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -156,8 +170,11 @@ class Polydisc(Domain):
         return f"Polydisc(centers={list(self.centers)}, radii={list(self.radii)})"
 
     def contains(self, p) -> bool:
-        p = self._check_point(p)
-        return bool(np.all(np.abs(p.as_array() - self.centers) < self.radii))
+        return bool(self.contains_many(self._check_point(p).as_array()[None])[0])
+
+    def contains_many(self, Z) -> np.ndarray:
+        Z = self._check_rows(Z)
+        return np.all(np.abs(Z - self.centers) < self.radii, axis=1)
 
     def boundary_distance(self, p) -> float:
         p = self._check_point(p)
@@ -239,18 +256,24 @@ class SemiAnalytic(Domain):
         return f"SemiAnalytic({len(self.constraints)} constraints, dim={self.dim})"
 
     def contains(self, p) -> bool:
-        p = self._check_point(p)
-        z = p.as_array()
+        return bool(self.contains_many(self._check_point(p).as_array()[None])[0])
+
+    def contains_many(self, Z) -> np.ndarray:
+        """Box test first; each constraint is evaluated only on the rows that
+        passed the box and the constraints before it."""
+        Z = self._check_rows(Z)
         b = self._box
-        if not (
-            np.all(z.real > b[:, 0]) and np.all(z.real < b[:, 1])
-            and np.all(z.imag > b[:, 2]) and np.all(z.imag < b[:, 3])
-        ):
-            return False
+        inside = np.all(
+            (Z.real > b[:, 0]) & (Z.real < b[:, 1])
+            & (Z.imag > b[:, 2]) & (Z.imag < b[:, 3]),
+            axis=1,
+        )
         for g, t in self.constraints:
-            if abs(g.eval_array(z)[0]) >= t:
-                return False
-        return True
+            rows = np.flatnonzero(inside)
+            w = g.eval_array(Z[rows].T)[0]
+            # hypot rounds |w| as abs() of one complex does; np.abs may not
+            inside[rows] = np.hypot(w.real, w.imag) < t
+        return inside
 
     def box(self) -> np.ndarray:
         return self._box
@@ -261,25 +284,29 @@ class SemiAnalytic(Domain):
             self._anchor = _interior_sample(self, 1, seed=0)[0]
         return self._anchor
 
-    def _ray_exit(self, z: np.ndarray, u: np.ndarray, resolution: int = 64) -> float:
-        """Distance along unit direction u at which membership first fails."""
+    def _ray_exit(self, z: np.ndarray, U: np.ndarray, resolution: int = 64) -> np.ndarray:
+        """Distance from z along each unit direction (row of U) at which
+        membership first fails: a march in steps of box_diagonal/resolution,
+        then 30 bisection steps taken by all exiting rays together."""
         t_max = self.box_diagonal()
         step = t_max / resolution
-        t = step
-        prev = 0.0
-        while t <= t_max + step:
-            if not self.contains(Point(z + t * u)):
-                lo, hi = prev, t
-                for _ in range(30):
-                    mid = 0.5 * (lo + hi)
-                    if self.contains(Point(z + mid * u)):
-                        lo = mid
-                    else:
-                        hi = mid
-                return lo
-            prev = t
-            t += step
-        return t_max
+        # cumsum adds step by step, as a running t += step would
+        ts = np.cumsum(np.full(resolution + 2, step))
+        ts = ts[ts <= t_max + step]
+        march = z + ts[None, :, None] * U[:, None, :]
+        out = ~self.contains_many(march.reshape(-1, self.dim)).reshape(len(U), len(ts))
+        exits = np.full(len(U), t_max)
+        rays = np.flatnonzero(out.any(axis=1))
+        first = out[rays].argmax(axis=1)
+        lo = np.where(first > 0, ts[first - 1], 0.0)
+        hi = ts[first]
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            ok = self.contains_many(z + mid[:, None] * U[rays])
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+        exits[rays] = lo
+        return exits
 
     def boundary_distance(self, p, directions: int = 32) -> float:
         p = self._check_point(p)
@@ -291,10 +318,8 @@ class SemiAnalytic(Domain):
             float(np.min(z.real - b[:, 0])), float(np.min(b[:, 1] - z.real)),
             float(np.min(z.imag - b[:, 2])), float(np.min(b[:, 3] - z.imag)),
         )
-        best = box_gap
-        for u in _sphere_directions(self.dim, directions, seed=1):
-            best = min(best, self._ray_exit(z, u))
-        return GAP_SAFETY * best
+        rays = self._ray_exit(z, _sphere_directions(self.dim, directions, seed=1))
+        return GAP_SAFETY * min(box_gap, float(rays.min()))
 
     def to_json(self) -> dict:
         return {
@@ -375,15 +400,12 @@ def inner_gap(
     # the gap probe is the hot consumer of boundary_distance; keep the
     # per-point direction count modest
     pts = sample(U, min(samples, 128), seed)
-    worst = math.inf
-    for p in pts:
-        if not X.contains(p):
-            raise InclusionError(f"sampled point {p.coords} of U escapes X")
-        if isinstance(X, SemiAnalytic):
-            worst = min(worst, X.boundary_distance(p, directions=8))
-        else:
-            worst = min(worst, X.boundary_distance(p))
-    g = GAP_SAFETY * worst
+    inside = X.contains_many(np.array([p.as_array() for p in pts]))
+    if not inside.all():
+        escaped = pts[np.argmin(inside)]
+        raise InclusionError(f"sampled point {escaped.coords} of U escapes X")
+    opts = {"directions": 8} if isinstance(X, SemiAnalytic) else {}
+    g = GAP_SAFETY * min(X.boundary_distance(p, **opts) for p in pts)
     if g <= INCLUSION_FLOOR:
         raise InclusionError(f"probed gap {g:.3e} below tolerance")
     return g
@@ -422,13 +444,8 @@ def sample(d: Domain, count: int, seed: int = 0) -> list:
         raise ArgumentError("count must be >= 1")
     pts = _interior_sample(d, count, seed)
     delta = NEAR_BOUNDARY_FRACTION * d.box_scale()
-    anchor = _anchor_of(d)
-    out = []
-    for i, z in enumerate(pts):
-        if i % 4 == 3:
-            z = _push_to_boundary(d, anchor, z, delta)
-        out.append(Point(z))
-    return out
+    pts[3::4] = _push_to_boundary(d, _anchor_of(d), pts[3::4], delta)
+    return [Point(z) for z in pts]
 
 
 def _anchor_of(d: Domain) -> np.ndarray:
@@ -437,21 +454,13 @@ def _anchor_of(d: Domain) -> np.ndarray:
     return d.interior_point()
 
 
-def _interior_sample(d: Domain, count: int, seed: int) -> list:
-    if isinstance(d, Polydisc):
-        eng = qmc.Halton(d=2 * d.dim, seed=seed)
-        raw = eng.random(count)
-        out = []
-        for row in raw:
-            z = np.empty(d.dim, dtype=complex)
-            for j in range(d.dim):
-                u, v = row[2 * j], row[2 * j + 1]
-                z[j] = d.centers[j] + d.radii[j] * math.sqrt(u) * np.exp(
-                    2j * math.pi * v
-                )
-            out.append(z)
-        return out
+def _interior_sample(d: Domain, count: int, seed: int) -> np.ndarray:
+    """A (count, dim) array of seeded points of d."""
     eng = qmc.Halton(d=2 * d.dim, seed=seed)
+    if isinstance(d, Polydisc):
+        raw = eng.random(count)
+        u, v = raw[:, 0::2], raw[:, 1::2]
+        return d.centers + d.radii * np.sqrt(u) * np.exp(1j * (2 * math.pi * v))
     b = d.box()
     lo = np.concatenate([b[:, 0], b[:, 2]])
     hi = np.concatenate([b[:, 1], b[:, 3]])
@@ -459,45 +468,45 @@ def _interior_sample(d: Domain, count: int, seed: int) -> list:
     attempts = 0
     cap = max(20000, 400 * count)
     while len(out) < count:
-        raw = eng.random(256)
-        scaled = qmc.scale(raw, lo, hi)
-        for row in scaled:
-            z = row[: d.dim] + 1j * row[d.dim :]
-            attempts += 1
-            if d.contains(Point(z)):
-                out.append(z)
-                if len(out) == count:
-                    break
+        scaled = qmc.scale(eng.random(256), lo, hi)
+        batch = scaled[:, : d.dim] + 1j * scaled[:, d.dim :]
+        hits = np.flatnonzero(d.contains_many(batch))[: count - len(out)]
+        out.extend(batch[hits])
+        # attempts count the rows tested up to the last point taken
+        attempts += hits[-1] + 1 if len(out) == count else len(batch)
         if attempts > cap:
             raise SamplingExhaustedError(
                 f"could not find {count} points in {attempts} attempts"
             )
-    return out
+    return np.array(out)
 
 
 def _push_to_boundary(
-    d: Domain, anchor: np.ndarray, z: np.ndarray, delta: float
+    d: Domain, anchor: np.ndarray, Z: np.ndarray, delta: float
 ) -> np.ndarray:
-    w = z - anchor
-    norm = np.linalg.norm(w)
-    if norm < 1e-12:
-        return z
-    u = w / norm
+    """Rows of Z moved out along their rays from anchor to within about
+    delta of the boundary; a row stays put if its candidate leaves d."""
+    W = Z - anchor
+    # row by row: np.linalg.norm(W, axis=1) rounds differently
+    norms = np.array([np.linalg.norm(w) for w in W])
+    moving = np.flatnonzero(norms >= 1e-12)
+    W, norms = W[moving], norms[moving]
     if isinstance(d, Polydisc):
         offs = np.abs(anchor - d.centers)
         # conservative per-coordinate exit: t such that offs_j + t|w_j| = rho_j
         with np.errstate(divide="ignore"):
-            exits = np.where(np.abs(w) > 0, (d.radii - offs) / np.abs(w), np.inf)
-        t_exit = float(exits.min())
+            exits = np.where(np.abs(W) > 0, (d.radii - offs) / np.abs(W), np.inf)
+        t_exit = exits.min(axis=1)
     else:
         # _ray_exit measures length along the unit direction; cand is
         # parametrized by t in units of w
-        t_exit = d._ray_exit(anchor, u) / norm
-    t = max(0.5 * t_exit, t_exit - delta / norm)
-    cand = anchor + t * w
-    if d.contains(Point(cand)):
-        return cand
-    return z
+        t_exit = d._ray_exit(anchor, W / norms[:, None]) / norms
+    t = np.maximum(0.5 * t_exit, t_exit - delta / norms)
+    cand = anchor + t[:, None] * W
+    out = Z.copy()
+    ok = d.contains_many(cand)
+    out[moving[ok]] = cand[ok]
+    return out
 
 
 __all__ = [

@@ -21,7 +21,6 @@ from .domains import (
     as_point,
     as_vector,
     boundary_distance,
-    contains,
     sample,
 )
 from .errors import ArgumentError, ParseError, SingularityError
@@ -29,10 +28,24 @@ from .errors import ArgumentError, ParseError, SingularityError
 SINGULARITY_FLOOR = 1e-300
 
 
+def _mul(a, b):
+    """a * b; arrays are multiplied part by part, rounded as numpy rounds two
+    scalars, since its array loops for * and ^2 may fuse multiply-adds and
+    differ in the last bit."""
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return a * b
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
+
+
 class Expr:
     """Base class of AST nodes; immutable after construction."""
 
     def eval(self, z: np.ndarray) -> complex:
+        """Value at z of shape (n,), or values at the N columns of z of shape (n, N)."""
         raise NotImplementedError
 
     def eval_dual(self, z: np.ndarray, v: np.ndarray) -> tuple:
@@ -168,7 +181,7 @@ class Mul(Expr):
     b: Expr
 
     def eval(self, z):
-        return self.a.eval(z) * self.b.eval(z)
+        return _mul(self.a.eval(z), self.b.eval(z))
 
     def eval_dual(self, z, v):
         av, ad = self.a.eval_dual(z, v)
@@ -189,7 +202,7 @@ class Div(Expr):
 
     def eval(self, z):
         den = self.b.eval(z)
-        if abs(den) < SINGULARITY_FLOOR:
+        if np.any(np.abs(den) < SINGULARITY_FLOOR):
             raise SingularityError("division by a near-zero complex value")
         return self.a.eval(z) / den
 
@@ -214,7 +227,8 @@ class Pow(Expr):
     exponent: int
 
     def eval(self, z):
-        return self.base.eval(z) ** self.exponent
+        b = self.base.eval(z)
+        return _mul(b, b) if self.exponent == 2 else b**self.exponent
 
     def eval_dual(self, z, v):
         bv, bd = self.base.eval_dual(z, v)
@@ -282,7 +296,11 @@ class HoloMap:
         return len(self.components)
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
-        return np.array([c.eval(z) for c in self.components], dtype=complex)
+        """f(z) of shape (m,) for z of shape (n,); column-wise (m, N) for (n, N)."""
+        out = np.empty((self.m,) + np.shape(z)[1:], dtype=complex)
+        for i, c in enumerate(self.components):
+            out[i] = c.eval(z)  # a constant component broadcasts
+        return out
 
     def eval(self, p) -> Point:
         p = as_point(p)
@@ -518,12 +536,11 @@ def range_check(
     if margin_floor is None:
         margin_floor = 1e-7 * U.box_scale()
     pts = sample(X, samples, seed)
-    worst = math.inf
-    for p in pts:
-        q = f.eval(p)
-        if not contains(U, q):
-            return RangeEvidence(len(pts), -math.inf, REFUTED, witness=p)
-        worst = min(worst, boundary_distance(U, q))
+    images = f.eval_array(np.array([p.as_array() for p in pts]).T).T
+    inside = U.contains_many(images)
+    if not inside.all():
+        return RangeEvidence(len(pts), -math.inf, REFUTED, witness=pts[np.argmin(inside)])
+    worst = min(boundary_distance(U, q) for q in images)
     verdict = SUPPORTED if worst >= margin_floor else INCONCLUSIVE
     return RangeEvidence(len(pts), worst, verdict)
 

@@ -19,7 +19,6 @@ import numpy as np
 from . import kernels
 from .domains import (
     Domain,
-    Point,
     Polydisc,
     SemiAnalytic,
     _sphere_directions,
@@ -217,7 +216,7 @@ def _affine_disk_radius(d: Domain, z: np.ndarray, u: np.ndarray, tol: float) -> 
     zetas = _zeta_grid()
 
     def fits(rho: float) -> bool:
-        return all(contains(d, Point(z + zeta * rho * u)) for zeta in zetas)
+        return bool(d.contains_many(z + (zetas * rho)[:, None] * u).all())
 
     hi = d.box_diagonal()
     if fits(hi):
@@ -412,20 +411,7 @@ def _gauss01(order: int) -> tuple:
 
 def _length_of(field: MetricField, verts: np.ndarray, order: int) -> float:
     """Quadrature length of the polyline; +inf if a node leaves the domain."""
-    if verts.shape[0] < 2:
-        return 0.0
-    if field.model is not None:
-        return float(_lengths_of(field, verts[None], order)[0])
-    nodes, weights = _gauss01(order)
-    total = 0.0
-    for s in range(verts.shape[0] - 1):
-        seg = verts[s + 1] - verts[s]
-        for t, w in zip(nodes, weights):
-            z = verts[s] + t * seg
-            if not contains(field.domain, Point(z)):
-                return math.inf
-            total += w * field.eval(z, seg)
-    return total
+    return float(_lengths_of(field, verts[None], order)[0])
 
 
 def _refined_length(field: MetricField, verts: np.ndarray, order: int) -> tuple:
@@ -468,13 +454,28 @@ def _subdivide(verts: np.ndarray) -> np.ndarray:
 
 
 def _lengths_of(field: MetricField, stack: np.ndarray, order: int) -> np.ndarray:
-    """Quadrature lengths of a (B, m, n) stack of polylines; +inf where one escapes."""
-    if field.model is None:
-        return np.array([_length_of(field, verts, order) for verts in stack])
+    """Quadrature lengths of a (B, m, n) stack of polylines; +inf where one escapes.
+
+    Without a polydisc model for the kernel, all nodes are tested in one
+    membership call and the field is summed node by node where none escapes.
+    """
     nodes, weights = _gauss01(order)
-    centers, radii = field.model
-    vals = kernels.polyline_lengths(stack, centers, radii, nodes, weights)
-    return np.where(vals < 0, math.inf, vals)
+    if field.model is not None:
+        centers, radii = field.model
+        vals = kernels.polyline_lengths(stack, centers, radii, nodes, weights)
+        return np.where(vals < 0, math.inf, vals)
+    seg = stack[:, 1:] - stack[:, :-1]  # (B, m-1, n)
+    z = stack[:, :-1, None, :] + nodes[None, None, :, None] * seg[:, :, None, :]
+    B, S, Q, n = z.shape
+    inside = field.domain.contains_many(z.reshape(-1, n)).reshape(B, S * Q).all(axis=1)
+    out = np.full(B, math.inf)
+    for b in np.flatnonzero(inside):
+        total = 0.0
+        for s in range(S):
+            for q in range(Q):
+                total += weights[q] * field.eval(z[b, s, q], seg[b, s])
+        out[b] = total
+    return out
 
 
 def _relax_vertices(

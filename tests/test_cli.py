@@ -252,6 +252,27 @@ class TestConfigAndOutput:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["metric", "--domain", "disk:0,1", "--point", "0", "--vector", "1"], "--tol"),
+            (["distance", "--domain", "disk:0,1", "--a", "0", "--b", "0.5"], "--samples"),
+            (["diameter", "--X", "disk:0,1", "--U", "disk:0,0.5"], "--max-iter"),
+            (["contraction", "--X", "disk:0,1", "--U", "disk:0,0.5"], "--tol"),
+            (["verify", "--X", "disk:0,1", "--U", "disk:0,0.5", "--k", "0.8"], "--max-iter"),
+        ],
+    )
+    def test_unread_flags_are_rejected(self, capsys, argv, flag):
+        # only fixpoint reads --tol and --max-iter; metric and distance do not sample
+        code, _, err = run_cli(capsys, *argv, flag, "5")
+        assert code == 1 and f"unrecognized arguments: {flag} 5" in err
+
+    def test_metric_config_has_no_samples(self, capsys):
+        doc = run_json(
+            capsys, "metric", "--domain", "disk:0,1", "--point", "0", "--vector", "1",
+        )
+        assert "samples" not in doc["config"]
+
     def test_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "metric", "--point", "0", "--vector", "1")
         assert code == 1 and "usage error" in err

@@ -33,17 +33,22 @@ class TestCaratheodoryDiameter:
         assert M.kind == EXACT
         assert M.value == pytest.approx(2 * math.atanh(0.5))
 
-    def test_sampled_close_to_exact(self):
-        M = caratheodory_diameter(unit_disk(), Disk(0, 0.5), force_sampled=True)
-        assert M.kind == LOWER
-        assert M.value <= math.log(3) + 1e-12
-        assert M.value >= 0.98 * math.log(3)
+    # Disk(0.2, 0.3) is not concentric with the unit disk, so its diameter
+    # is sampled; the extremal pair is -0.1, 0.5 on the real axis
+    OFFCENTER_DIAMETER = math.atanh(0.6 / 1.05)
 
-    def test_offcenter_sampled_is_lower(self):
+    def test_sampled_close_to_exact(self):
         M = caratheodory_diameter(unit_disk(), Disk(0.2, 0.3))
         assert M.kind == LOWER
-        exact = 2 * math.atanh(0.5)  # diameter of any radius-0.5 region is below this
-        assert 0 < M.value < math.log(3) + exact
+        assert M.value <= self.OFFCENTER_DIAMETER + 1e-12
+        assert M.value >= 0.99 * self.OFFCENTER_DIAMETER
+
+    def test_offcenter_sampled_is_lower(self):
+        # per coordinate the extremal pairs are -0.4, 0.6 and -0.4, 0.4; the
+        # first gives the diameter atanh(1/1.24)
+        M = caratheodory_diameter(Polydisc([0, 0], [1, 1]), Polydisc([0.1, 0], [0.5, 0.4]))
+        assert M.kind == LOWER
+        assert 0 < M.value <= math.atanh(1 / 1.24) + 1e-12
 
     def test_not_relatively_compact(self):
         with pytest.raises(InclusionError):

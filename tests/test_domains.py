@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermetric.domains import (
     Disk,
@@ -35,6 +38,44 @@ def box_semianalytic():
 def disk_semianalytic(radius=1.0):
     r = radius
     return SemiAnalytic([(parse("z1", 1), r)], [[-r, r, -r, r]])
+
+
+MOEBIUS = "(z1 - 0.2)/(1 - 0.2*z1)"
+WIDE_BOX = [-1.05, 1.05, -1.05, 1.05]
+
+
+def moebius_disk():
+    """The unit disk, cut out by a Moebius map inside a wider box."""
+    return SemiAnalytic([(parse(MOEBIUS, 1), 1.0)], [WIDE_BOX])
+
+
+def moebius_bidisc():
+    return SemiAnalytic(
+        [(parse(MOEBIUS, 2), 1.0), (parse("(z2 + 0.3i)/(1 - 0.3i*z2)", 2), 1.0)],
+        [WIDE_BOX, WIDE_BOX],
+    )
+
+
+def holed_disk():
+    """The unit disk minus the disk of radius 0.002 at 0.37+0.11i."""
+    return SemiAnalytic(
+        [(parse("z1", 1), 1.0), (parse("0.002/(z1 - (0.37+0.11i))", 1), 1.0)],
+        [WIDE_BOX],
+    )
+
+
+def scalar_membership(d, z):
+    """Membership of one point as the scalar rule reads: the box, then
+    |g(z)| < t with the map evaluated at that point alone."""
+    if isinstance(d, Polydisc):
+        return bool(np.all(np.abs(z - d.centers) < d.radii))
+    b = d.box()
+    if not (
+        np.all(z.real > b[:, 0]) and np.all(z.real < b[:, 1])
+        and np.all(z.imag > b[:, 2]) and np.all(z.imag < b[:, 3])
+    ):
+        return False
+    return all(abs(g.eval_array(z)[0]) < t for g, t in d.constraints)
 
 
 class TestPoint:
@@ -72,6 +113,68 @@ class TestContains:
             contains(unit_disk(), (0, 0))
 
 
+MEMBERSHIP_DOMAINS = {
+    "disk": unit_disk,
+    "shifted_bidisc": lambda: Polydisc([0.3 - 0.2j, -0.5j], [0.8, 1.1]),
+    "moebius_disk": moebius_disk,
+    "moebius_bidisc": moebius_bidisc,
+    "holed_disk": holed_disk,
+    "constant": lambda: SemiAnalytic([(parse("0.5", 2), 1.0)], [WIDE_BOX, WIDE_BOX]),
+}
+
+_coordinates = st.one_of(
+    # inside, near and exactly on |z| = 1
+    st.tuples(
+        st.sampled_from([0.0, 0.3, 0.7, 0.999, 1.0, 1.001, 1.03]),
+        st.floats(0, 2 * math.pi),
+    ).map(lambda t: t[0] * cmath.exp(1j * t[1])),
+    st.sampled_from([1, -1, 1j, -1j, 0.6 + 0.8j, -0.8 - 0.6j]),
+    # outside every box, and on the edge of the wide one
+    st.sampled_from([2.0, -3j, 1.5 + 1.5j, 1.05, -1.05j]),
+)
+
+
+class TestContainsMany:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(MEMBERSHIP_DOMAINS)),
+        st.lists(st.tuples(_coordinates, _coordinates), min_size=1, max_size=24),
+    )
+    def test_matches_one_point_membership(self, name, rows):
+        d = MEMBERSHIP_DOMAINS[name]()
+        Z = np.array(rows, dtype=complex)[:, : d.dim]
+        got = d.contains_many(Z)
+        assert got.dtype == bool and got.shape == (len(Z),)
+        for i, z in enumerate(Z):
+            assert got[i] == contains(d, z) == scalar_membership(d, z)
+
+    @pytest.mark.parametrize("name", sorted(MEMBERSHIP_DOMAINS))
+    def test_wrong_shape_raises(self, name):
+        d = MEMBERSHIP_DOMAINS[name]()
+        for bad in (np.zeros((3, d.dim + 1)), np.zeros(d.dim), np.zeros((1, 1, d.dim))):
+            with pytest.raises(ArgumentError):
+                d.contains_many(bad)
+
+    @pytest.mark.parametrize("name", sorted(MEMBERSHIP_DOMAINS))
+    def test_non_finite_row_is_outside(self, name):
+        d = MEMBERSHIP_DOMAINS[name]()
+        Z = np.zeros((4, d.dim), dtype=complex)
+        Z[1, 0] = complex(float("nan"), 0)
+        Z[2, -1] = complex(0, float("inf"))
+        Z[3, 0] = complex(float("-inf"), float("nan"))
+        assert d.contains_many(Z).tolist() == [True, False, False, False]
+
+    def test_empty_batch(self):
+        assert moebius_bidisc().contains_many(np.zeros((0, 2))).shape == (0,)
+
+    def test_one_point_wrapper_still_checks_the_point(self):
+        for d in (unit_disk(), moebius_disk()):
+            with pytest.raises(ArgumentError):
+                contains(d, (0, 0))
+            with pytest.raises(ArgumentError):
+                contains(d, float("nan"))
+
+
 class TestBoundaryDistance:
     def test_disk_center(self):
         assert boundary_distance(unit_disk(), 0) == 1.0
@@ -86,6 +189,31 @@ class TestBoundaryDistance:
     def test_outside_raises(self):
         with pytest.raises(MembershipError):
             boundary_distance(unit_disk(), 2)
+
+    @pytest.mark.parametrize("make", [moebius_disk, moebius_bidisc, holed_disk])
+    def test_rays_match_one_point_march(self, make):
+        # reference: march in box_diagonal/64 steps, then bisect 30 times,
+        # one membership test per point
+        def one_ray(d, z, u):
+            t_max = d.box_diagonal()
+            step = t_max / 64
+            t, prev = step, 0.0
+            while t <= t_max + step:
+                if not contains(d, z + t * u):
+                    lo, hi = prev, t
+                    for _ in range(30):
+                        mid = 0.5 * (lo + hi)
+                        lo, hi = (mid, hi) if contains(d, z + mid * u) else (lo, mid)
+                    return lo
+                prev = t
+                t += step
+            return t_max
+
+        d = make()
+        z = np.full(d.dim, 0.3 - 0.35j)
+        U = np.exp(1j * np.linspace(0, 6, 7 * d.dim)).reshape(-1, d.dim)
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        assert d._ray_exit(z, U).tolist() == [one_ray(d, z, u) for u in U]
 
     def test_semianalytic_is_conservative(self):
         d = disk_semianalytic()
@@ -185,6 +313,56 @@ class TestSample:
     def test_count_validation(self):
         with pytest.raises(ArgumentError):
             sample(unit_disk(), 0)
+
+
+class TestPinnedValues:
+    """Sampled values recorded before membership was batched; they must not move."""
+
+    # sample(unit_disk(), 7, seed=1) and sample(Polydisc([0, 0], [1, 1]), 4,
+    # seed=1), as frozen in the benchmark's DISK_GRID and BIDISC_POINTS
+    DISK_GRID = (
+        -0.18104889496236842 - 0.3481558816470283j,
+        -0.4348049499254179 + 0.6818620650929842j,
+        0.634986144204641 + 0.027996731249151804j,
+        0.7777418599957387 - 0.5962529657874822j,
+        -0.15727926023583325 - 0.06522618026669492j,
+        0.09462500320251009 + 0.7211361376754317j,
+        0.1145435550071975 - 0.5156267974987602j,
+    )
+    BIDISC_POINTS = (
+        (-0.18104889496236842 - 0.3481558816470283j, -0.34261637783363097 - 0.24278096048468853j),
+        (-0.4348049499254179 + 0.6818620650929842j, -0.2900854513075701 + 0.7015547078264024j),
+        (0.634986144204641 + 0.027996731249151804j, 0.6566185495067404 - 0.5875207720390572j),
+        (0.7802770163601614 - 0.5981965341856527j, -0.6094660058211532 + 0.17599228064437167j),
+    )
+    MOEBIUS_SAMPLE = (
+        0.20815573775718788 + 0.46321889989264364j,
+        -0.31684426224281204 - 0.23678110010735665j,
+        -0.5793442622428121 + 0.6965522332259766j,
+        0.793247311587982 - 0.5769438980287682j,
+        -0.05434426224281208 - 0.4701144334406899j,
+        -0.9730942622428121 + 0.22988556655931003j,
+        -0.4480942622428121 + 0.3854411221148655j,
+        0.7578227476685357 - 0.6225430949939694j,
+    )
+
+    def test_disk_grid(self):
+        assert tuple(p.coords[0] for p in sample(unit_disk(), 7, seed=1)) == self.DISK_GRID
+
+    def test_bidisc_points(self):
+        pts = sample(Polydisc([0, 0], [1, 1]), 4, seed=1)
+        assert tuple(p.coords for p in pts) == self.BIDISC_POINTS
+
+    def test_moebius_sample(self):
+        pts = sample(moebius_disk(), 8, seed=0)
+        assert tuple(p.coords[0] for p in pts) == self.MOEBIUS_SAMPLE
+
+    def test_moebius_boundary_distance(self):
+        got = [boundary_distance(moebius_disk(), z) for z in (0, 0.5, -0.3 + 0.4j, 0.6 - 0.6j)]
+        assert got == [0.8999999999848717, 0.44999999999243584, 0.4500022696101065, 0.136345703961282]
+
+    def test_moebius_inner_gap(self):
+        assert inner_gap(Disk(0, 0.5), moebius_disk()) == 0.4131030821701029
 
 
 class TestJson:

@@ -11,6 +11,7 @@ from hypermetric.holomap import (
     REFUTED,
     SUPPORTED,
     Const,
+    HoloMap,
     Var,
     add,
     compose,
@@ -172,6 +173,64 @@ class TestPrinterRoundTrip:
     def test_map_roundtrip(self):
         f = parse("z1*z2 - (1+2i)*z2^3; z1/(z2 - 0.5)", 2)
         assert parse(f.to_text(), 2) == f
+
+
+# every node kind: constants, variables, +, -, *, /, unary minus, the
+# exponents 0, 1, 2 (a square) and higher, and a constant component
+BATCH_MAPS = (
+    "z1*z2 - (1+2i)*z2^3; z1/(z2 - 0.5) + z2^0; 0.25",
+    "-z1^2 + 3*z1*z2 - z2^1; (z1 - z2)^5/(2 + z1*z1)",
+    "(0.3-0.1i)*z1^4 - z2/3i; -(z1 + 1i)^2",
+)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestEvalArray:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(BATCH_MAPS),
+        st.lists(
+            st.tuples(*[st.floats(-2, 2, allow_nan=False)] * 4), min_size=1, max_size=16
+        ),
+    )
+    def test_columns_match_single_points(self, text, rows):
+        f = parse(text, 2)
+        Z = np.array([[complex(a, b), complex(c, d)] for a, b, c, d in rows])
+        try:
+            singles = [f.eval_array(z) for z in Z]
+        except SingularityError:
+            with pytest.raises(SingularityError):
+                f.eval_array(Z.T)
+            return
+        batch = f.eval_array(Z.T)
+        assert batch.shape == (f.m, len(Z))
+        for j, single in enumerate(singles):
+            assert _bits(batch[:, j]) == _bits(single)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_exprs)
+    def test_random_expressions_match_single_points(self, expr):
+        f = HoloMap(2, (expr,))
+        rng = np.random.default_rng(5)
+        Z = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+        try:
+            singles = [f.eval_array(z) for z in Z]
+        except SingularityError:
+            return
+        batch = f.eval_array(Z.T)
+        for j, single in enumerate(singles):
+            assert _bits(batch[:, j]) == _bits(single)
+
+    def test_constant_component_broadcasts(self):
+        out = parse("0.25; z1", 1).eval_array(np.array([[0.5, 0.1j, 2]]))
+        assert out.tolist() == [[0.25, 0.25, 0.25], [0.5, 0.1j, 2]]
+
+    def test_one_singular_column_raises(self):
+        with pytest.raises(SingularityError):
+            parse("1/z1", 1).eval_array(np.array([[0.5, 0, 0.2j]]))
 
 
 class TestRangeCheck:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_disk_selfmaps
-from hypermetric.domains import Disk, Polydisc, SemiAnalytic, unit_disk
+from hypermetric.domains import Disk, Polydisc, SemiAnalytic, contains, unit_disk
 from hypermetric.errors import MembershipError, PathInvalidError
 from hypermetric.holomap import parse
 from hypermetric.metrics import (
@@ -12,6 +12,8 @@ from hypermetric.metrics import (
     LOWER,
     UPPER,
     Polyline,
+    _gauss01,
+    _lengths_of,
     caratheodory_distance,
     caratheodory_metric,
     integrated_distance,
@@ -205,6 +207,38 @@ class TestPathLength:
         field = metric_field(unit_disk())
         with pytest.raises(PathInvalidError):
             path_length(field, Polyline([1.5, 2.0]))
+
+    @pytest.mark.parametrize("metric", ["caratheodory", "kobayashi"])
+    def test_batched_lengths_match_node_loop(self, metric):
+        # reference: one membership test and one field evaluation per node,
+        # in segment then node order, stopping at the first escaping node
+        def node_loop(field, verts, order):
+            nodes, weights = _gauss01(order)
+            total = 0.0
+            for s in range(len(verts) - 1):
+                seg = verts[s + 1] - verts[s]
+                for t, w in zip(nodes, weights):
+                    z = verts[s] + t * seg
+                    if not contains(field.domain, z):
+                        return math.inf
+                    total += w * field.eval(z, seg)
+            return total
+
+        d = SemiAnalytic(
+            [(parse("(z1 - 0.2)/(1 - 0.2*z1)", 1), 1.0)], [[-1.05, 1.05, -1.05, 1.05]]
+        )
+        field = metric_field(d, metric)
+        stack = np.array(
+            [
+                [[0], [0.3 + 0.1j], [0.5 - 0.2j]],
+                [[-0.4j], [0.2], [1.3 + 0.6j]],  # leaves the unit disk
+                [[0.6], [0.1 + 0.5j], [-0.7]],
+            ],
+            dtype=complex,
+        )
+        got = _lengths_of(field, stack, 4)
+        assert got.tolist() == [node_loop(field, verts, 4) for verts in stack]
+        assert math.isinf(got[1]) and np.isfinite(got[[0, 2]]).all()
 
     def test_lower_metric_carries_caveat(self):
         sd = disk_as_semianalytic()
