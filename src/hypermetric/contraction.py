@@ -7,8 +7,9 @@ Two routes with different rigor:
   bound, so the resulting constant may be understated and the certificate
   is flagged heuristic.
 * the gap dilation 1 / (1 + r/R) from a Euclidean diameter upper bound R
-  and boundary-gap lower bound r.  Both ingredient directions are safe, so
-  this certificate is rigorous end to end.
+  and boundary-gap lower bound r.  Rigorous only when r is proven, which is
+  when U and X are both polydiscs; otherwise r is a sampled infimum that may
+  overstate the gap, and the certificate is flagged heuristic.
 """
 
 from __future__ import annotations
@@ -170,7 +171,11 @@ def certificate_for(
     if method == DILATION:
         R = diameter_bound(U)
         r = inner_gap(U, X, samples=samples, seed=seed)
-        return dilation_constant(R, r, X=X, U=U)
+        cert = dilation_constant(R, r, X=X, U=U)
+        if not (isinstance(X, Polydisc) and isinstance(U, Polydisc)):
+            # inner_gap samples the gap unless both are polydiscs
+            cert = dataclasses.replace(cert, rigorous=False)
+        return cert
     if method == TANH_DIAMETER:
         M = caratheodory_diameter(X, U, samples=samples, seed=seed)
         return tanh_diameter_constant(M, X=X, U=U)

@@ -35,10 +35,16 @@ def _mul(a, b):
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return a * b
     ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = ar * br - ai * bi
+    re = ar * br - ai * bi
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
     out.imag = ar * bi + ai * br
     return out
+
+
+def _pow(b, k: int):
+    """b**k, squaring through _mul."""
+    return _mul(b, b) if k == 2 else b**k
 
 
 class Expr:
@@ -49,7 +55,8 @@ class Expr:
         raise NotImplementedError
 
     def eval_dual(self, z: np.ndarray, v: np.ndarray) -> tuple:
-        """Return (value, directional derivative along v)."""
+        """(value, directional derivative along v) at z of shape (n,), or both
+        at the N columns of z and v of shape (n, N)."""
         raise NotImplementedError
 
     # precedence levels: 0 additive, 1 multiplicative, 2 unary, 3 power, 4 atom
@@ -186,7 +193,7 @@ class Mul(Expr):
     def eval_dual(self, z, v):
         av, ad = self.a.eval_dual(z, v)
         bv, bd = self.b.eval_dual(z, v)
-        return av * bv, ad * bv + av * bd
+        return _mul(av, bv), _mul(ad, bv) + _mul(av, bd)
 
     def precedence(self):
         return 1
@@ -208,11 +215,11 @@ class Div(Expr):
 
     def eval_dual(self, z, v):
         bv, bd = self.b.eval_dual(z, v)
-        if abs(bv) < SINGULARITY_FLOOR:
+        if np.any(np.abs(bv) < SINGULARITY_FLOOR):
             raise SingularityError("division by a near-zero complex value")
         av, ad = self.a.eval_dual(z, v)
         q = av / bv
-        return q, (ad - q * bd) / bv
+        return q, (ad - _mul(q, bd)) / bv
 
     def precedence(self):
         return 1
@@ -227,15 +234,14 @@ class Pow(Expr):
     exponent: int
 
     def eval(self, z):
-        b = self.base.eval(z)
-        return _mul(b, b) if self.exponent == 2 else b**self.exponent
+        return _pow(self.base.eval(z), self.exponent)
 
     def eval_dual(self, z, v):
         bv, bd = self.base.eval_dual(z, v)
         k = self.exponent
         if k == 0:
             return 1 + 0j, 0j
-        return bv**k, k * bv ** (k - 1) * bd
+        return _pow(bv, k), _mul(k * _pow(bv, k - 1), bd)
 
     def precedence(self):
         return 3

@@ -47,6 +47,9 @@ OPT_REL_TOL = 1e-6
 DEFAULT_SEGMENTS = 8
 DEFAULT_REFINEMENTS = 4
 DEFAULT_DIRECTIONS = 64
+# most points that one membership call of _affine_disk_radii tests, and
+# most competitor values that one block of CompetitorMetricField.eval holds
+_BLOCK_POINTS = 2**16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,68 +112,60 @@ def poincare_metric(z: complex, v: complex) -> float:
 # competitor families (certified lower bounds on semi-analytic domains)
 
 
-class _Competitor:
-    """A holomorphic map of the domain into the unit disk."""
-
-    def value(self, z: np.ndarray) -> complex:
-        raise NotImplementedError
-
-    def deriv(self, z: np.ndarray, v: np.ndarray) -> complex:
-        raise NotImplementedError
-
-
-class _LinearCompetitor(_Competitor):
-    """z -> a·(z - q) / S with S >= sup over the bounding box of |a·(z - q)|."""
-
-    def __init__(self, coeff: np.ndarray, center: np.ndarray, scale: float):
-        self.coeff = coeff
-        self.center = center
-        self.scale = scale
-
-    def value(self, z):
-        return complex(np.dot(self.coeff, z - self.center)) / self.scale
-
-    def deriv(self, z, v):
-        return complex(np.dot(self.coeff, v)) / self.scale
+def _row_dot(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """X @ A for real X of shape (N, n), rounded as np.dot of each row of X
+    with each column of A: one row would go through the matrix-vector
+    kernel, which rounds differently, so it is multiplied as a pair."""
+    if len(X) == 1:
+        return (np.concatenate([X, X]) @ A)[:1]
+    return X @ A
 
 
-class _DefiningCompetitor(_Competitor):
-    """g / t for a defining inequality |g| < t; maps the domain into the disk."""
+class _Competitors:
+    """Holomorphic maps of a semi-analytic domain into the unit disk: g / t
+    for each defining inequality |g| < t, then z -> a·(z - q) / s for each
+    direction a, with s >= sup over the bounding box of |a·(z - q)|."""
 
-    def __init__(self, holomap, threshold: float):
-        self.holomap = holomap
-        self.threshold = threshold
+    def __init__(self, d: SemiAnalytic, directions: int, seed: int):
+        self.constraints = d.constraints
+        b = d.box()
+        self.center = 0.5 * (b[:, 0] + b[:, 1]) + 0.5j * (b[:, 2] + b[:, 3])
+        half = np.hypot(0.5 * (b[:, 1] - b[:, 0]), 0.5 * (b[:, 3] - b[:, 2]))
+        dirs = _sphere_directions(d.dim, directions, seed)
+        scales = np.array([np.dot(np.abs(a), half) for a in dirs])
+        keep = scales > 0
+        self.coeffs = dirs[keep].T  # (n, number of linear maps)
+        self.scales = scales[keep]
+        self.count = len(self.constraints) + self.scales.size
 
-    def value(self, z):
-        return complex(self.holomap.eval_array(z)[0]) / self.threshold
-
-    def deriv(self, z, v):
-        return complex(self.holomap.components[0].eval_dual(z, v)[1]) / self.threshold
-
-
-def competitor_family(
-    d: SemiAnalytic, directions: int = DEFAULT_DIRECTIONS, seed: int = 0
-) -> list:
-    """Defining-inequality maps plus box-normalized linear functionals."""
-    comps: list = [_DefiningCompetitor(g, t) for g, t in d.constraints]
-    b = d.box()
-    q = 0.5 * (b[:, 0] + b[:, 1]) + 0.5j * (b[:, 2] + b[:, 3])
-    half = np.hypot(0.5 * (b[:, 1] - b[:, 0]), 0.5 * (b[:, 3] - b[:, 2]))
-    for a in _sphere_directions(d.dim, directions, seed):
-        scale = float(np.dot(np.abs(a), half))
-        if scale > 0:
-            comps.append(_LinearCompetitor(a, q, scale))
-    return comps
+    def eval(self, Z: np.ndarray, V: np.ndarray) -> tuple:
+        """Values at the rows of Z and derivatives along the rows of V, as
+        two (N, K) arrays with one column per competitor."""
+        nc = len(self.constraints)
+        w = np.empty((len(Z), self.count), dtype=complex)
+        dw = np.empty_like(w)
+        # parts are divided one by one: numpy divides a complex array by a
+        # real through its reciprocal, Python divides each part
+        for i, (g, t) in enumerate(self.constraints):
+            val, der = g.components[0].eval_dual(Z.T, V.T)
+            w.real[:, i], w.imag[:, i] = np.real(val) / t, np.imag(val) / t
+            dw.real[:, i], dw.imag[:, i] = np.real(der) / t, np.imag(der) / t
+        A, s = self.coeffs, self.scales
+        for out, X in ((w, Z - self.center), (dw, V)):
+            re = _row_dot(X.real, A.real) - _row_dot(X.imag, A.imag)
+            im = _row_dot(X.real, A.imag) + _row_dot(X.imag, A.real)
+            out.real[:, nc:], out.imag[:, nc:] = re / s, im / s
+        return w, dw
 
 
-def _competitors_for(d: SemiAnalytic, directions: int, seed: int) -> list:
+def _competitors_for(d: SemiAnalytic, directions: int, seed: int) -> _Competitors:
     cache = getattr(d, "_competitor_cache", None)
     key = (directions, seed)
     if cache is None:
         cache = {}
         d._competitor_cache = cache
     if key not in cache:
-        cache[key] = competitor_family(d, directions, seed)
+        cache[key] = _Competitors(d, directions, seed)
     return cache[key]
 
 
@@ -195,7 +190,7 @@ def caratheodory_metric(
         raise MembershipError(f"point {x.coords} is not in the domain")
     varr = as_vector(v, d.dim)
     field = metric_field(d, "caratheodory", directions=directions, seed=seed)
-    value = field.eval(x.as_array(), varr)
+    value = float(field.eval(x.as_array()[None], varr[None])[0])
     if field.kind == EXACT:
         return Bound(value, EXACT)
     return Bound(value, LOWER, tol=1e-12 * (1 + value))
@@ -211,26 +206,47 @@ def _zeta_grid() -> np.ndarray:
     return np.concatenate([[0j]] + [[r * a for a in angles] for r in _ZETA_RADII])
 
 
-def _affine_disk_radius(d: Domain, z: np.ndarray, u: np.ndarray, tol: float) -> float:
-    """Largest rho (sampled membership, bisection) with z + zeta·rho·u in d."""
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of V, rounded as np.linalg.norm of one row:
+    each (1, n) @ (n, 1) product goes through the same dot as its norm."""
+    sq = [np.matmul(P[:, None, :], P[:, :, None])[:, 0, 0] for P in (V.real, V.imag)]
+    return np.sqrt(sq[0] + sq[1])
+
+
+def _affine_disk_radii(
+    d: Domain, Z: np.ndarray, U: np.ndarray, tol: float
+) -> np.ndarray:
+    """Largest rho per row (sampled membership, bisection) with
+    Z[i] + zeta·rho·U[i] in d for every zeta of the grid.
+
+    The bisection starts from the box diagonal, a radius that never fits:
+    the grid points of modulus 0.9995 at opposite angles would lie farther
+    apart than the box that holds d.  The rows bisect in lock step, each
+    with its own stopping rule and so its own midpoints; a finished row
+    tests its last radius again, which changes nothing.  Rows go through in
+    blocks so that one membership call tests at most _BLOCK_POINTS points.
+    """
     zetas = _zeta_grid()
+    step = max(1, _BLOCK_POINTS // zetas.size)
+    out = np.empty(len(Z))
+    for start in range(0, len(Z), step):
+        z, u = Z[start : start + step, None, :], U[start : start + step, None, :]
 
-    def fits(rho: float) -> bool:
-        return bool(d.contains_many(z + (zetas * rho)[:, None] * u).all())
+        def fits(rho: np.ndarray) -> np.ndarray:
+            pts = z + (zetas * rho[:, None])[:, :, None] * u
+            return d.contains_many(pts.reshape(-1, d.dim)).reshape(len(z), -1).all(axis=1)
 
-    hi = d.box_diagonal()
-    if fits(hi):
-        return hi
-    lo = 0.0
-    for _ in range(60):
-        if hi - lo <= tol * max(1.0, lo):
-            break
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        lo, hi = np.zeros(len(z)), np.full(len(z), d.box_diagonal())
+        for _ in range(60):
+            open_ = hi - lo > tol * np.maximum(1.0, lo)
+            if not open_.any():
+                break
+            mid = np.where(open_, 0.5 * (lo + hi), lo)
+            ok = fits(mid)
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+        out[start : start + step] = lo
+    return out
 
 
 def kobayashi_metric(
@@ -256,13 +272,13 @@ def kobayashi_metric(
     if vnorm == 0.0:
         return Bound(0.0, EXACT)
     field = metric_field(d, "kobayashi", tol=tol)
-    best = field.eval(z, varr)
+    best = float(field.eval(z[None], varr[None])[0])
     if field.kind == EXACT:
         return Bound(best, EXACT)
     if inner is not None and contains(inner, x):
         R = diameter_bound(inner)
         r = inner_gap(inner, d)
-        rho_inner = _affine_disk_radius(inner, z, varr / vnorm, tol)
+        rho_inner = float(_affine_disk_radii(inner, z[None], (varr / vnorm)[None], tol)[0])
         if rho_inner > 0:
             best = min(best, vnorm / (rho_inner * (1 + r / R)))
     return Bound(best, UPPER, tol=tol * best)
@@ -289,9 +305,10 @@ def caratheodory_distance(
             for j in range(d.dim)
         ]
         return Bound(max(vals), EXACT)
+    Z = np.stack([za, zb])
+    w, _ = _competitors_for(d, directions, seed).eval(Z, np.zeros_like(Z))
     best = 0.0
-    for comp in _competitors_for(d, directions, seed):
-        wa, wb = comp.value(za), comp.value(zb)
+    for wa, wb in w.T.tolist():
         if abs(wa) >= 1 or abs(wb) >= 1:
             continue
         best = max(best, poincare_distance(wa, wb))
@@ -303,14 +320,15 @@ def caratheodory_distance(
 
 
 class MetricField:
-    """Pointwise metric evaluator E(z, v) over a fixed domain."""
+    """Metric evaluator E(z, v) over a fixed domain."""
 
     kind: str
     domain: Domain
     # (centers, radii) when the closed polydisc form applies (kernel path)
     model: Optional[tuple] = None
 
-    def eval(self, z: np.ndarray, v: np.ndarray) -> float:
+    def eval(self, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """E at the N rows of Z along the N rows of V, both of shape (N, n)."""
         raise NotImplementedError
 
 
@@ -325,11 +343,11 @@ class PolydiscModelField(MetricField):
         self.radii = np.ascontiguousarray(d.radii, dtype=float)
         self.model = (self.centers, self.radii)
 
-    def eval(self, z, v):
-        den = self.radii**2 - np.abs(z - self.centers) ** 2
+    def eval(self, Z, V):
+        den = self.radii**2 - np.abs(Z - self.centers) ** 2
         if np.any(den <= 0):
             raise MembershipError("point is not in the polydisc")
-        return float((self.radii * np.abs(v) / den).max())
+        return (self.radii * np.abs(V) / den).max(axis=1)
 
 
 class CompetitorMetricField(MetricField):
@@ -341,14 +359,23 @@ class CompetitorMetricField(MetricField):
         self.domain = d
         self._comps = _competitors_for(d, directions, seed)
 
-    def eval(self, z, v):
-        best = 0.0
-        for comp in self._comps:
-            w = comp.value(z)
-            if abs(w) >= 1:
-                continue
-            best = max(best, abs(comp.deriv(z, v)) / (1 - abs(w) ** 2))
-        return best
+    def eval(self, Z, V):
+        # blocks of rows keep each (rows, competitors) array to _BLOCK_POINTS entries
+        step = max(1, _BLOCK_POINTS // self._comps.count)
+        out = np.empty(len(Z))
+        for start in range(0, len(Z), step):
+            rows = slice(start, start + step)
+            w, dw = self._comps.eval(Z[rows], V[rows])
+            # hypot rounds |w| as abs() of one complex does; np.abs may not
+            absw = np.hypot(w.real, w.imag)
+            rate = np.divide(
+                np.hypot(dw.real, dw.imag),
+                1 - absw**2,
+                out=np.zeros_like(absw),
+                where=absw < 1,
+            )
+            out[rows] = rate.max(axis=1, initial=0.0)
+        return out
 
 
 class AnalyticDiskField(MetricField):
@@ -360,14 +387,17 @@ class AnalyticDiskField(MetricField):
         self.domain = d
         self.tol = tol
 
-    def eval(self, z, v):
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0:
-            return 0.0
-        rho = _affine_disk_radius(self.domain, z, v / vnorm, self.tol)
-        if rho <= 0:
+    def eval(self, Z, V):
+        vnorm = _row_norms(V)
+        out = np.zeros(len(Z))
+        rows = np.flatnonzero(vnorm)
+        rho = _affine_disk_radii(
+            self.domain, Z[rows], V[rows] / vnorm[rows, None], self.tol
+        )
+        if np.any(rho <= 0):
             raise PathInvalidError("no affine analytic disk fits at this point")
-        return vnorm / rho
+        out[rows] = vnorm[rows] / rho
+        return out
 
 
 def metric_field(d: Domain, metric: str = "caratheodory", **opts) -> MetricField:
@@ -457,7 +487,8 @@ def _lengths_of(field: MetricField, stack: np.ndarray, order: int) -> np.ndarray
     """Quadrature lengths of a (B, m, n) stack of polylines; +inf where one escapes.
 
     Without a polydisc model for the kernel, all nodes are tested in one
-    membership call and the field is summed node by node where none escapes.
+    membership call, and the field is evaluated in one call at the nodes of
+    the polylines where none escapes.
     """
     nodes, weights = _gauss01(order)
     if field.model is not None:
@@ -469,12 +500,16 @@ def _lengths_of(field: MetricField, stack: np.ndarray, order: int) -> np.ndarray
     B, S, Q, n = z.shape
     inside = field.domain.contains_many(z.reshape(-1, n)).reshape(B, S * Q).all(axis=1)
     out = np.full(B, math.inf)
-    for b in np.flatnonzero(inside):
-        total = 0.0
-        for s in range(S):
-            for q in range(Q):
-                total += weights[q] * field.eval(z[b, s, q], seg[b, s])
-        out[b] = total
+    rows = np.flatnonzero(inside)
+    if S == 0:
+        out[rows] = 0.0
+        return out
+    vals = field.eval(
+        z[rows].reshape(-1, n), np.repeat(seg[rows], Q, axis=1).reshape(-1, n)
+    ).reshape(rows.size, S * Q)
+    # cumsum adds node by node, in segment then node order, as a running
+    # total += would
+    out[rows] = np.cumsum(vals * np.tile(weights, S), axis=1)[:, -1]
     return out
 
 
@@ -647,7 +682,6 @@ __all__ = [
     "caratheodory_distance",
     "path_length",
     "integrated_distance",
-    "competitor_family",
     "EXACT",
     "LOWER",
     "UPPER",

@@ -14,8 +14,17 @@ from hypermetric.contraction import (
     tanh_diameter_constant,
     verify_metric_contraction,
 )
-from hypermetric.domains import Disk, Polydisc, contains, unit_disk
+from hypermetric.domains import (
+    Disk,
+    Polydisc,
+    SemiAnalytic,
+    contains,
+    diameter_bound,
+    inner_gap,
+    unit_disk,
+)
 from hypermetric.errors import ArgumentError, InclusionError
+from hypermetric.holomap import parse
 from hypermetric.metrics import EXACT, LOWER, Bound
 
 
@@ -104,6 +113,34 @@ class TestCertificateFor:
         assert cert.k == pytest.approx(1.2 / 1.6, rel=1e-12)
         assert cert.rigorous
 
+    @pytest.mark.parametrize(
+        "X, U",
+        [
+            # a disk with a hole of radius 0.002, which the sampled gap misses
+            (
+                SemiAnalytic(
+                    [(parse("z1", 1), 1.0), (parse("1/(z1 - (0.37+0.11i))", 1), 500.0)],
+                    [[-1.05, 1.05, -1.05, 1.05]],
+                ),
+                Disk(0, 0.3),
+            ),
+            # the unit disk cut out by one of its automorphisms
+            (
+                SemiAnalytic(
+                    [(parse("(z1 - 0.2)/(1 - 0.2*z1)", 1), 1.0)],
+                    [[-1.05, 1.05, -1.05, 1.05]],
+                ),
+                Disk(0, 0.5),
+            ),
+        ],
+        ids=["holed", "moebius"],
+    )
+    def test_sampled_gap_is_not_rigorous(self, X, U):
+        cert = certificate_for(X, U, method=DILATION)
+        R, r = diameter_bound(U), inner_gap(U, X)
+        assert cert.rigorous is False
+        assert cert.k == dilation_constant(R, r).k
+
     def test_tanh_route(self):
         cert = certificate_for(unit_disk(), Disk(0, 0.5), method=TANH_DIAMETER)
         assert cert.k == pytest.approx(0.8, rel=1e-12)
@@ -121,21 +158,15 @@ class TestCertificateFor:
 
 class TestDilateDisk:
     def test_linear_disk(self):
-        from hypermetric.holomap import parse
-
         phi = dilate_disk(parse("0.4*z1", 1), 0.2, 0.4)
         for z in (0.3, -0.5j, 0.7 + 0.1j):
             assert phi.eval(z).coords[0] == pytest.approx(0.6 * complex(z))
 
     def test_constant_map_fixed(self):
-        from hypermetric.holomap import parse
-
         phi = dilate_disk(parse("0.3+0.1i", 1), 1.0, 2.0)
         assert phi.eval(0.5).coords[0] == pytest.approx(0.3 + 0.1j)
 
     def test_derivative_scaled(self):
-        from hypermetric.holomap import parse
-
         phi = parse("(z1^2 + z1)/3", 1)
         psi = dilate_disk(phi, 0.5, 1.0)
         assert psi.jvp(0, 1)[0] == pytest.approx(1.5 * phi.jvp(0, 1)[0])

@@ -188,6 +188,20 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def _assert_dual_columns(expr, Z, V):
+    """Column j of eval_dual over (n, N) arrays is bitwise eval_dual at row j."""
+    try:
+        singles = [expr.eval_dual(z, v) for z, v in zip(Z, V)]
+    except SingularityError:
+        with pytest.raises(SingularityError):
+            expr.eval_dual(Z.T, V.T)
+        return
+    val, der = (np.broadcast_to(a, len(Z)) for a in expr.eval_dual(Z.T, V.T))
+    for j, (sv, sd) in enumerate(singles):
+        assert _bits(val[j]) == _bits(np.complex128(sv))
+        assert _bits(der[j]) == _bits(np.complex128(sd))
+
+
 class TestEvalArray:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -223,6 +237,29 @@ class TestEvalArray:
         batch = f.eval_array(Z.T)
         for j, single in enumerate(singles):
             assert _bits(batch[:, j]) == _bits(single)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(BATCH_MAPS), st.integers(0, 2**32 - 1))
+    def test_dual_columns_match_single_points(self, text, seed):
+        f = parse(text, 2)
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+        V = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+        for c in f.components:
+            _assert_dual_columns(c, Z, V)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_exprs)
+    def test_random_expressions_dual_match_single_points(self, expr):
+        rng = np.random.default_rng(6)
+        Z = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+        V = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+        _assert_dual_columns(expr, Z, V)
+
+    def test_dual_one_singular_column_raises(self):
+        div = parse("1/z1", 1).components[0]
+        with pytest.raises(SingularityError):
+            div.eval_dual(np.array([[0.5, 0, 0.2j]]), np.ones((1, 3)))
 
     def test_constant_component_broadcasts(self):
         out = parse("0.25; z1", 1).eval_array(np.array([[0.5, 0.1j, 2]]))

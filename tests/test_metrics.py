@@ -4,16 +4,28 @@ import numpy as np
 import pytest
 
 from conftest import random_disk_selfmaps
-from hypermetric.domains import Disk, Polydisc, SemiAnalytic, contains, unit_disk
+from hypermetric.domains import (
+    Disk,
+    Polydisc,
+    SemiAnalytic,
+    _sphere_directions,
+    contains,
+    sample,
+    unit_disk,
+)
 from hypermetric.errors import MembershipError, PathInvalidError
 from hypermetric.holomap import parse
 from hypermetric.metrics import (
+    DEFAULT_DIRECTIONS,
     EXACT,
     LOWER,
     UPPER,
     Polyline,
+    _BLOCK_POINTS,
+    _competitors_for,
     _gauss01,
     _lengths_of,
+    _zeta_grid,
     caratheodory_distance,
     caratheodory_metric,
     integrated_distance,
@@ -34,6 +46,25 @@ def disk_as_semianalytic(center=0.0, radius=1.0):
         [(parse(expr, 1), r)],
         [[c.real - r, c.real + r, c.imag - r, c.imag + r]],
     )
+
+
+MOEBIUS = "(z1 - 0.2)/(1 - 0.2*z1)"
+BOX = [-1.05, 1.05, -1.05, 1.05]
+# the unit disk cut out by one of its automorphisms, the same cut of the
+# bidisc, a disk with a small hole, and a disk with a constant constraint
+MOEBIUS_DISK = SemiAnalytic([(parse(MOEBIUS, 1), 1.0)], [BOX])
+MOEBIUS_BIDISC = SemiAnalytic(
+    [(parse(MOEBIUS, 2), 1.0), (parse("z2^2", 2), 1.0)], [BOX, BOX]
+)
+HOLED_DISK = SemiAnalytic(
+    [(parse("z1", 1), 1.0), (parse("1/(z1 - (0.37+0.11i))", 1), 500.0)], [BOX]
+)
+CONSTANT_CUT = SemiAnalytic([(parse("z1", 1), 1.0), (parse("0.5", 1), 1.0)], [BOX])
+semianalytic_domains = pytest.mark.parametrize(
+    "d",
+    [MOEBIUS_DISK, MOEBIUS_BIDISC, HOLED_DISK, CONSTANT_CUT],
+    ids=["disk", "bidisc", "holed", "constant"],
+)
 
 
 class TestPoincareDistance:
@@ -221,7 +252,7 @@ class TestPathLength:
                     z = verts[s] + t * seg
                     if not contains(field.domain, z):
                         return math.inf
-                    total += w * field.eval(z, seg)
+                    total += w * field.eval(z[None], seg[None])[0]
             return total
 
         d = SemiAnalytic(
@@ -239,6 +270,11 @@ class TestPathLength:
         got = _lengths_of(field, stack, 4)
         assert got.tolist() == [node_loop(field, verts, 4) for verts in stack]
         assert math.isinf(got[1]) and np.isfinite(got[[0, 2]]).all()
+
+    @pytest.mark.parametrize("metric", ["caratheodory", "kobayashi"])
+    def test_one_vertex_semianalytic(self, metric):
+        field = metric_field(MOEBIUS_DISK, metric)
+        assert path_length(field, Polyline([0.3j])).value == 0.0
 
     def test_lower_metric_carries_caveat(self):
         sd = disk_as_semianalytic()
@@ -307,3 +343,103 @@ class TestSchwarzPick:
                 dv = f.jvp(z, v)[0]
                 assert poincare_metric(fz, dv) <= poincare_metric(z, v) + 1e-9
                 assert poincare_distance(fz, fw) <= poincare_distance(z, w) + 1e-9
+
+
+def rows_in(d, count, seed):
+    """(count, n) points of d and (count, n) directions."""
+    Z = np.array([p.as_array() for p in sample(d, count, seed)])
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=Z.shape) + 1j * rng.normal(size=Z.shape)
+    return Z, V
+
+
+def competitor_reference(d, z, v, directions=64, seed=0):
+    """(value, derivative) of each competitor at one point: g / t through
+    eval_array and a one-point eval_dual, a·(z - q) / s through np.dot."""
+    comps = [
+        (complex(g.eval_array(z)[0]) / t, complex(g.components[0].eval_dual(z, v)[1]) / t)
+        for g, t in d.constraints
+    ]
+    b = d.box()
+    q = 0.5 * (b[:, 0] + b[:, 1]) + 0.5j * (b[:, 2] + b[:, 3])
+    half = np.hypot(0.5 * (b[:, 1] - b[:, 0]), 0.5 * (b[:, 3] - b[:, 2]))
+    for a in _sphere_directions(d.dim, directions, seed):
+        scale = float(np.dot(np.abs(a), half))
+        if scale > 0:
+            comps.append((complex(np.dot(a, z - q)) / scale, complex(np.dot(a, v)) / scale))
+    return comps
+
+
+def caratheodory_reference(d, z, v):
+    """Carathéodory lower bound at one point, one competitor at a time;
+    competitors with |w| >= 1 are skipped."""
+    best = 0.0
+    for w, dw in competitor_reference(d, z, v):
+        if abs(w) >= 1:
+            continue
+        best = max(best, abs(dw) / (1 - abs(w) ** 2))
+    return best
+
+
+def disk_reference(d, z, v, tol=1e-6):
+    """Kobayashi upper bound at one point: bisection on the radius of the
+    largest centred affine disk, one membership call per step."""
+    vnorm = float(np.linalg.norm(v))
+    if vnorm == 0:
+        return 0.0
+    u = v / vnorm
+    zetas = _zeta_grid()
+
+    def fits(rho):
+        return bool(d.contains_many(z + (zetas * rho)[:, None] * u).all())
+
+    hi = d.box_diagonal()
+    if fits(hi):
+        return vnorm / hi
+    lo = 0.0
+    for _ in range(60):
+        if hi - lo <= tol * max(1.0, lo):
+            break
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return vnorm / lo
+
+
+class TestArrayFields:
+    @semianalytic_domains
+    def test_competitor_field_matches_reference_across_blocks(self, d):
+        count = _BLOCK_POINTS // _competitors_for(d, DEFAULT_DIRECTIONS, 0).count + 9
+        Z, V = rows_in(d, count, seed=3)
+        got = metric_field(d, "caratheodory").eval(Z, V)
+        assert got.tolist() == [caratheodory_reference(d, z, v) for z, v in zip(Z, V)]
+
+    @pytest.mark.parametrize("count", [1, 2, 40])
+    @semianalytic_domains
+    def test_competitor_values_match_reference(self, d, count):
+        Z, V = rows_in(d, count, seed=7)
+        w, dw = _competitors_for(d, DEFAULT_DIRECTIONS, 0).eval(Z, V)
+        for i, (z, v) in enumerate(zip(Z, V)):
+            ref = competitor_reference(d, z, v)
+            assert w[i].tolist() == [c[0] for c in ref]
+            assert dw[i].tolist() == [c[1] for c in ref]
+
+    def test_disk_field_matches_reference_across_blocks(self):
+        count = _BLOCK_POINTS // _zeta_grid().size + 9
+        Z, V = rows_in(MOEBIUS_DISK, count, seed=4)
+        V[5] = 0
+        got = metric_field(MOEBIUS_DISK, "kobayashi").eval(Z, V)
+        assert got[5] == 0.0
+        assert got.tolist() == [disk_reference(MOEBIUS_DISK, z, v) for z, v in zip(Z, V)]
+
+    def test_disk_field_matches_reference_on_bidisc(self):
+        Z, V = rows_in(MOEBIUS_BIDISC, 24, seed=5)
+        got = metric_field(MOEBIUS_BIDISC, "kobayashi").eval(Z, V)
+        assert got.tolist() == [disk_reference(MOEBIUS_BIDISC, z, v) for z, v in zip(Z, V)]
+
+    def test_row_without_disk_raises(self):
+        Z = np.array([[0.2], [1.5]], dtype=complex)  # the second row is outside
+        with pytest.raises(PathInvalidError):
+            metric_field(MOEBIUS_DISK, "kobayashi").eval(Z, np.ones_like(Z))
