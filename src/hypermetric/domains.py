@@ -1,20 +1,23 @@
 """Bounded domains of C^n: membership, Euclidean geometry, seeded sampling.
 
 The two quantities every contraction certificate needs are an upper bound R
-on the Euclidean diameter of the inner domain and a lower bound r on the gap
-between the inner domain and the boundary of the outer one.  Both are exact
-in closed form for disks and polydiscs and conservative (sampled, with a
-safety factor) for semi-analytic domains.
+on the Euclidean diameter of the inner domain and the gap r between the
+inner domain and the boundary of the outer one.  Both are exact in closed
+form for disks and polydiscs.  For semi-analytic domains R is the
+bounding-box diagonal, still an upper bound, but r is sampled: a minimum
+over sampled points and ray directions times a safety factor, which can
+overstate the true gap when a thin feature of the boundary falls between
+the samples.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (
     ArgumentError,
@@ -31,6 +34,11 @@ NEAR_BOUNDARY_FRACTION = 0.01
 # Safety factor applied to sampled gap estimates for semi-analytic domains.
 GAP_SAFETY = 0.9
 INCLUSION_FLOOR = 1e-9
+# most points that one membership call of a batched routine tests, and most
+# values that one block of such a routine holds
+_BLOCK_POINTS = 2**16
+# march steps per box diagonal in SemiAnalytic._ray_exit
+_RAY_STEPS = 64
 
 
 def _finite_complex(values) -> tuple:
@@ -122,6 +130,14 @@ class Domain:
     def boundary_distance(self, p) -> float:
         raise NotImplementedError
 
+    def boundary_distance_many(self, Z) -> np.ndarray:
+        """Distance to the boundary of each row of an (N, dim) complex array.
+
+        Raises MembershipError if a row is not in the domain (a non-finite
+        row never is) and ArgumentError unless Z is 2-D with dim columns.
+        """
+        raise NotImplementedError
+
     def box(self) -> np.ndarray:
         """Per-coordinate bounding box: rows (re_lo, re_hi, im_lo, im_hi)."""
         raise NotImplementedError
@@ -177,11 +193,14 @@ class Polydisc(Domain):
         return np.all(np.abs(Z - self.centers) < self.radii, axis=1)
 
     def boundary_distance(self, p) -> float:
-        p = self._check_point(p)
-        gaps = self.radii - np.abs(p.as_array() - self.centers)
-        if np.any(gaps <= 0):
-            raise MembershipError(f"point {p.coords} is not in {self!r}")
-        return float(gaps.min())
+        return float(self.boundary_distance_many(self._check_point(p).as_array()[None])[0])
+
+    def boundary_distance_many(self, Z) -> np.ndarray:
+        Z = self._check_rows(Z)
+        gaps = self.radii - np.abs(Z - self.centers)
+        # a NaN gap fails > 0, so a non-finite row counts as outside
+        _raise_outside(self, Z, ~np.all(gaps > 0, axis=1))
+        return gaps.min(axis=1)
 
     def box(self) -> np.ndarray:
         re = self.centers.real
@@ -284,42 +303,55 @@ class SemiAnalytic(Domain):
             self._anchor = _interior_sample(self, 1, seed=0)[0]
         return self._anchor
 
-    def _ray_exit(self, z: np.ndarray, U: np.ndarray, resolution: int = 64) -> np.ndarray:
-        """Distance from z along each unit direction (row of U) at which
-        membership first fails: a march in steps of box_diagonal/resolution,
-        then 30 bisection steps taken by all exiting rays together."""
+    def _ray_exit(self, z: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """Distance along each unit direction (row of U) at which membership
+        first fails: a march in steps of box_diagonal/_RAY_STEPS, then 30
+        bisection steps taken by all exiting rays together.  The origin z is
+        one point (n,) shared by every ray, or one row per ray (len(U), n)."""
         t_max = self.box_diagonal()
-        step = t_max / resolution
+        step = t_max / _RAY_STEPS
         # cumsum adds step by step, as a running t += step would
-        ts = np.cumsum(np.full(resolution + 2, step))
+        ts = np.cumsum(np.full(_RAY_STEPS + 2, step))
         ts = ts[ts <= t_max + step]
-        march = z + ts[None, :, None] * U[:, None, :]
+        march = z[..., None, :] + ts[None, :, None] * U[:, None, :]
         out = ~self.contains_many(march.reshape(-1, self.dim)).reshape(len(U), len(ts))
         exits = np.full(len(U), t_max)
         rays = np.flatnonzero(out.any(axis=1))
         first = out[rays].argmax(axis=1)
         lo = np.where(first > 0, ts[first - 1], 0.0)
         hi = ts[first]
+        origins = np.broadcast_to(z, U.shape)[rays]
         for _ in range(30):
             mid = 0.5 * (lo + hi)
-            ok = self.contains_many(z + mid[:, None] * U[rays])
+            ok = self.contains_many(origins + mid[:, None] * U[rays])
             lo = np.where(ok, mid, lo)
             hi = np.where(ok, hi, mid)
         exits[rays] = lo
         return exits
 
     def boundary_distance(self, p, directions: int = 32) -> float:
-        p = self._check_point(p)
-        if not self.contains(p):
-            raise MembershipError(f"point {p.coords} is not in {self!r}")
-        z = p.as_array()
+        row = self._check_point(p).as_array()[None]
+        return float(self.boundary_distance_many(row, directions)[0])
+
+    def boundary_distance_many(self, Z, directions: int = 32) -> np.ndarray:
+        """The smaller of the box gap and the shortest exit over `directions`
+        sampled rays, times GAP_SAFETY: a sampled estimate, not a bound."""
+        Z = self._check_rows(Z)
+        _raise_outside(self, Z, ~self.contains_many(Z))
         b = self._box
-        box_gap = min(
-            float(np.min(z.real - b[:, 0])), float(np.min(b[:, 1] - z.real)),
-            float(np.min(z.imag - b[:, 2])), float(np.min(b[:, 3] - z.imag)),
-        )
-        rays = self._ray_exit(z, _sphere_directions(self.dim, directions, seed=1))
-        return GAP_SAFETY * min(box_gap, float(rays.min()))
+        box_gap = np.concatenate(
+            [Z.real - b[:, 0], b[:, 1] - Z.real, Z.imag - b[:, 2], b[:, 3] - Z.imag],
+            axis=1,
+        ).min(axis=1)
+        U = _sphere_directions(self.dim, directions, seed=1)
+        # blocks of points keep each march to _BLOCK_POINTS membership tests
+        step = max(1, _BLOCK_POINTS // (len(U) * (_RAY_STEPS + 2)))
+        rays = np.empty(len(Z))
+        for start in range(0, len(Z), step):
+            z = Z[start : start + step]
+            exits = self._ray_exit(np.repeat(z, len(U), axis=0), np.tile(U, (len(z), 1)))
+            rays[start : start + step] = exits.reshape(len(z), len(U)).min(axis=1)
+        return GAP_SAFETY * np.minimum(box_gap, rays)
 
     def to_json(self) -> dict:
         return {
@@ -330,6 +362,12 @@ class SemiAnalytic(Domain):
             ],
             "box": [list(map(float, row)) for row in self._box],
         }
+
+
+def _raise_outside(d: Domain, Z: np.ndarray, outside: np.ndarray) -> None:
+    if outside.any():
+        z = tuple(complex(c) for c in Z[np.argmax(outside)])
+        raise MembershipError(f"point {z} is not in {d!r}")
 
 
 def domain_from_json(data: dict) -> Domain:
@@ -381,11 +419,14 @@ def diameter_bound(U: Domain) -> float:
 def inner_gap(
     U: Domain, X: Domain, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> float:
-    """Lower bound on the Euclidean gap between U and the boundary of X.
+    """The Euclidean gap between U and the boundary of X.
 
-    Closed form for nested polydiscs; sampled infimum times a safety factor
-    otherwise.  Raises InclusionError when the probed gap collapses, because
-    every downstream contraction constant would be vacuous.
+    Closed form, and exact, for nested polydiscs.  Otherwise a sampled
+    estimate: the minimum boundary distance over sampled points of U, times
+    a safety factor.  It is not a lower bound; a thin feature of the
+    boundary between the samples makes it overstate the gap.  Raises
+    InclusionError when the probed gap collapses, because every downstream
+    contraction constant would be vacuous.
     """
     if U.dim != X.dim:
         raise ArgumentError("domains must share a dimension")
@@ -397,18 +438,75 @@ def inner_gap(
                 f"inclusion is not relatively compact (gap {g:.3e})"
             )
         return g
-    # the gap probe is the hot consumer of boundary_distance; keep the
+    # the gap probe is the hot consumer of boundary distances; keep the
     # per-point direction count modest
     pts = sample(U, min(samples, 128), seed)
-    inside = X.contains_many(np.array([p.as_array() for p in pts]))
+    Z = np.array([p.as_array() for p in pts])
+    inside = X.contains_many(Z)
     if not inside.all():
         escaped = pts[np.argmin(inside)]
         raise InclusionError(f"sampled point {escaped.coords} of U escapes X")
     opts = {"directions": 8} if isinstance(X, SemiAnalytic) else {}
-    g = GAP_SAFETY * min(X.boundary_distance(p, **opts) for p in pts)
+    g = GAP_SAFETY * float(X.boundary_distance_many(Z, **opts).min())
     if g <= INCLUSION_FLOOR:
         raise InclusionError(f"probed gap {g:.3e} below tolerance")
     return g
+
+
+def _first_primes(count: int) -> list:
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+@functools.lru_cache
+def _halton_permutations(d: int, seed: int) -> tuple:
+    """(base, digit permutations) per coordinate, drawn from one generator
+    in order: one shuffled arange(base) per base-b digit that a double can
+    resolve, ceil(54 / log2 b) - 1 of them (Owen 2017).  Read-only, since
+    every sampler with this (d, seed) shares them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for b in _first_primes(d):
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for row in perms:
+            rng.shuffle(row)
+        perms.flags.writeable = False
+        out.append((b, perms))
+    return tuple(out)
+
+
+class _Halton:
+    """Owen-scrambled Halton points in [0, 1)^d; successive draws continue
+    the sequence.  Bitwise equal to scipy.stats.qmc.Halton(d=d, seed=seed),
+    whose import costs more than the rest of the package."""
+
+    def __init__(self, d: int, seed: int):
+        self._perms = _halton_permutations(d, seed)
+        self._drawn = 0
+
+    def random(self, count: int) -> np.ndarray:
+        k = np.arange(self._drawn, self._drawn + count)
+        self._drawn += count
+        out = np.empty((count, len(self._perms)))
+        for j, (b, perms) in enumerate(self._perms):
+            # the last index has the most digits; once they run out, every
+            # digit left is 0 and the term is the same for every point
+            q, top, w, x = k, self._drawn - 1, 1.0 / b, np.zeros(count)
+            for row, first in zip(perms, perms[:, 0].tolist()):
+                if top > 0:
+                    q, digit = np.divmod(q, b)
+                    top //= b
+                    x += row[digit] * w
+                else:
+                    x += first * w
+                w /= b
+            out[:, j] = x
+        return out
 
 
 def _sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
@@ -420,8 +518,7 @@ def _sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
             e[j] = w
             dirs.append(e)
     if len(dirs) < count:
-        eng = qmc.Halton(d=2 * n, seed=seed)
-        raw = eng.random(count - len(dirs))
+        raw = _Halton(2 * n, seed).random(count - len(dirs))
         # inverse-normal pushforward gives a rotation-invariant direction set
         from scipy.special import ndtri
 
@@ -456,7 +553,7 @@ def _anchor_of(d: Domain) -> np.ndarray:
 
 def _interior_sample(d: Domain, count: int, seed: int) -> np.ndarray:
     """A (count, dim) array of seeded points of d."""
-    eng = qmc.Halton(d=2 * d.dim, seed=seed)
+    eng = _Halton(2 * d.dim, seed)
     if isinstance(d, Polydisc):
         raw = eng.random(count)
         u, v = raw[:, 0::2], raw[:, 1::2]
@@ -468,7 +565,7 @@ def _interior_sample(d: Domain, count: int, seed: int) -> np.ndarray:
     attempts = 0
     cap = max(20000, 400 * count)
     while len(out) < count:
-        scaled = qmc.scale(eng.random(256), lo, hi)
+        scaled = eng.random(256) * (hi - lo) + lo
         batch = scaled[:, : d.dim] + 1j * scaled[:, d.dim :]
         hits = np.flatnonzero(d.contains_many(batch))[: count - len(out)]
         out.extend(batch[hits])

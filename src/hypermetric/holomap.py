@@ -20,7 +20,6 @@ from .domains import (
     Point,
     as_point,
     as_vector,
-    boundary_distance,
     sample,
 )
 from .errors import ArgumentError, ParseError, SingularityError
@@ -546,7 +545,7 @@ def range_check(
     inside = U.contains_many(images)
     if not inside.all():
         return RangeEvidence(len(pts), -math.inf, REFUTED, witness=pts[np.argmin(inside)])
-    worst = min(boundary_distance(U, q) for q in images)
+    worst = float(U.boundary_distance_many(images).min())
     verdict = SUPPORTED if worst >= margin_floor else INCONCLUSIVE
     return RangeEvidence(len(pts), worst, verdict)
 

@@ -21,6 +21,7 @@ from .domains import (
     Domain,
     Polydisc,
     SemiAnalytic,
+    _BLOCK_POINTS,
     _sphere_directions,
     as_point,
     as_vector,
@@ -47,9 +48,6 @@ OPT_REL_TOL = 1e-6
 DEFAULT_SEGMENTS = 8
 DEFAULT_REFINEMENTS = 4
 DEFAULT_DIRECTIONS = 64
-# most points that one membership call of _affine_disk_radii tests, and
-# most competitor values that one block of CompetitorMetricField.eval holds
-_BLOCK_POINTS = 2**16
 
 
 @dataclasses.dataclass(frozen=True)

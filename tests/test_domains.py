@@ -1,17 +1,26 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypermetric
 from hypermetric.domains import (
+    GAP_SAFETY,
     Disk,
     Point,
     Polydisc,
     SemiAnalytic,
     TangentVector,
+    _BLOCK_POINTS,
+    _Halton,
+    _RAY_STEPS,
+    _sphere_directions,
     boundary_distance,
     contains,
     diameter_bound,
@@ -226,6 +235,71 @@ class TestBoundaryDistance:
             assert boundary_distance(d, p) > 0
 
 
+def reference_boundary_distances(d, Z, directions):
+    """One point at a time: the polydisc gap, or the box gap and a
+    single-origin ray march."""
+    out = []
+    for z in Z:
+        if isinstance(d, Polydisc):
+            out.append(float(np.min(d.radii - np.abs(z - d.centers))))
+            continue
+        b = d.box()
+        box_gap = min(
+            float(np.min(z.real - b[:, 0])), float(np.min(b[:, 1] - z.real)),
+            float(np.min(z.imag - b[:, 2])), float(np.min(b[:, 3] - z.imag)),
+        )
+        U = _sphere_directions(d.dim, directions, seed=1)
+        out.append(GAP_SAFETY * min(box_gap, float(d._ray_exit(z, U).min())))
+    return out
+
+
+class TestBoundaryDistanceMany:
+    @pytest.mark.parametrize("name", sorted(MEMBERSHIP_DOMAINS))
+    @pytest.mark.parametrize("directions", [8, 32])
+    def test_matches_one_point_reference(self, name, directions):
+        d = MEMBERSHIP_DOMAINS[name]()
+        # enough points for the ray march to cross a block seam
+        count = _BLOCK_POINTS // (directions * (_RAY_STEPS + 2)) + 3
+        Z = np.array([p.as_array() for p in sample(d, count, seed=2)])
+        if isinstance(d, Polydisc):
+            got = d.boundary_distance_many(Z)
+            one = [boundary_distance(d, z) for z in Z]
+        else:
+            got = d.boundary_distance_many(Z, directions)
+            one = [d.boundary_distance(z, directions) for z in Z]
+        assert got.shape == (count,)
+        assert got.tolist() == reference_boundary_distances(d, Z, directions) == one
+
+    @pytest.mark.parametrize("name", sorted(MEMBERSHIP_DOMAINS))
+    def test_outside_or_non_finite_row_raises(self, name):
+        d = MEMBERSHIP_DOMAINS[name]()
+        for bad in (3.0, complex(float("nan"), 0), complex(0, float("inf"))):
+            Z = np.zeros((3, d.dim), dtype=complex)
+            Z[1, -1] = bad
+            with pytest.raises(MembershipError):
+                d.boundary_distance_many(Z)
+
+    @pytest.mark.parametrize("name", sorted(MEMBERSHIP_DOMAINS))
+    def test_wrong_shape_raises(self, name):
+        d = MEMBERSHIP_DOMAINS[name]()
+        for bad in (np.zeros((3, d.dim + 1)), np.zeros(d.dim), np.zeros((1, 1, d.dim))):
+            with pytest.raises(ArgumentError):
+                d.boundary_distance_many(bad)
+
+    def test_empty_batch(self):
+        for d in (unit_disk(), moebius_bidisc()):
+            assert d.boundary_distance_many(np.zeros((0, d.dim))).shape == (0,)
+
+    @pytest.mark.parametrize("make", [moebius_disk, moebius_bidisc, holed_disk])
+    def test_ray_exit_per_ray_origins(self, make):
+        d = make()
+        U = np.exp(1j * np.linspace(0, 6, 9 * d.dim)).reshape(-1, d.dim)
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        origins = np.array([p.as_array() for p in sample(d, len(U), seed=5)])
+        want = [d._ray_exit(z, u[None])[0] for z, u in zip(origins, U)]
+        assert d._ray_exit(origins, U).tolist() == want
+
+
 class TestDiameterBound:
     def test_disk(self):
         assert diameter_bound(Disk(0, 0.5)) == pytest.approx(1.0)
@@ -313,6 +387,46 @@ class TestSample:
     def test_count_validation(self):
         with pytest.raises(ArgumentError):
             sample(unit_disk(), 0)
+
+
+class TestHalton:
+    def test_recorded_scipy_values(self):
+        # scipy.stats.qmc.Halton(d=2, seed=3): draws of 3 and 2 points, and
+        # Halton(d=3, seed=7).random(2), recorded from SciPy 1.17.1
+        eng = _Halton(2, 3)
+        assert eng.random(3).tolist() == [
+            [0.5421992425581941, 0.13813582895439427],
+            [0.04219924255819407, 0.47146916228772756],
+            [0.7921992425581941, 0.804802495621061],
+        ]
+        assert eng.random(2).tolist() == [
+            [0.29219924255819407, 0.24924694006550538],
+            [0.6671992425581941, 0.5825802733988389],
+        ]
+        assert _Halton(3, 7).random(2).tolist() == [
+            [0.10224233015287731, 0.9346983862017634, 0.8943413349392959],
+            [0.6022423301528773, 0.2680317195350967, 0.09434133493929588],
+        ]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7])
+    def test_matches_scipy(self, d, seed):
+        from scipy.stats import qmc
+
+        ours, theirs = _Halton(d, seed), qmc.Halton(d=d, seed=seed)
+        for count in (1, 37, 256, 5000):
+            assert np.array_equal(ours.random(count), theirs.random(count))
+
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(hypermetric.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, hypermetric.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestPinnedValues:
