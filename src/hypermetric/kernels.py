@@ -7,6 +7,11 @@ any quadrature node leaves the polydisc (nonpositive denominator).
 `polyline_lengths` takes a (B, m, n) stack of polylines, so the numpy
 overhead is paid once per stack rather than once per polyline;
 `polyline_length` is the single-polyline form of the same computation.
+Each row's length depends on that row only: a sub-stack gives bitwise the
+same lengths as the full stack at those rows.  The max over coordinates is
+taken elementwise, one `np.maximum` per coordinate, which picks the same
+values as a reduction over the coordinate axis and avoids its slow strided
+loop.
 """
 
 import numpy as np
@@ -21,12 +26,19 @@ def polyline_lengths(stack, centers, radii, nodes, weights):
     weights = np.asarray(weights, dtype=float)
 
     seg = stack[:, 1:] - stack[:, :-1]  # (B, m-1, n)
-    z = stack[:, :-1, None, :] + nodes[None, None, :, None] * seg[:, :, None, :]
-    den = radii**2 - np.abs(z - centers) ** 2  # (B, m-1, q, n)
+    # quadrature nodes z = start + t·seg, then z - c, in place
+    z = nodes[None, None, :, None] * seg[:, :, None, :]  # (B, m-1, q, n)
+    z += stack[:, :-1, None, :]
+    z -= centers
+    den = np.abs(z)
+    np.multiply(den, den, out=den)
+    np.subtract(radii**2, den, out=den)  # r² - |z - c|²
     escaped = np.any(den <= 0.0, axis=(1, 2, 3))
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = radii * np.abs(seg)[:, :, None, :] / den
-    e = val.max(axis=3)  # (B, m-1, q)
+        val = np.divide(radii * np.abs(seg)[:, :, None, :], den, out=den)
+    e = np.ascontiguousarray(val[..., 0])  # (B, m-1, q)
+    for j in range(1, val.shape[3]):
+        np.maximum(e, val[..., j], out=e)
     out = (e @ weights).sum(axis=1)
     out[escaped] = -1.0
     return out

@@ -247,6 +247,22 @@ def _affine_disk_radii(
     return out
 
 
+def _dilation_for(d: Domain, inner: Domain) -> tuple:
+    """(diameter_bound(inner), inner_gap(inner, d)), cached on d per inner.
+
+    The cache holds inner itself next to the pair, so that the id it is
+    keyed by cannot pass to another domain while the entry lives.
+    """
+    cache = getattr(d, "_dilation_cache", None)
+    if cache is None:
+        cache = {}
+        d._dilation_cache = cache
+    key = id(inner)
+    if key not in cache:
+        cache[key] = (inner, diameter_bound(inner), inner_gap(inner, d))
+    return cache[key][1:]
+
+
 def kobayashi_metric(
     d: Domain,
     x,
@@ -274,8 +290,7 @@ def kobayashi_metric(
     if field.kind == EXACT:
         return Bound(best, EXACT)
     if inner is not None and contains(inner, x):
-        R = diameter_bound(inner)
-        r = inner_gap(inner, d)
+        R, r = _dilation_for(d, inner)
         rho_inner = float(_affine_disk_radii(inner, z[None], (varr / vnorm)[None], tol)[0])
         if rho_inner > 0:
             best = min(best, vnorm / (rho_inner * (1 + r / R)))
@@ -520,26 +535,37 @@ def _relax_vertices(
     of [left, vertex, right]) depends on one moving vertex only and all of
     them are evaluated together: one batched call for the +/- probes of a
     coordinate, one for the parabolic candidates.  Updates verts in place.
-    """
-    n = verts.shape[1]
-    left, right = verts[idx - 1], verts[idx + 1]
-    rows = np.arange(idx.size)
 
-    def local_lengths(at: np.ndarray, x: np.ndarray) -> np.ndarray:
-        mid = x[:, :n] + 1j * x[:, n:]
-        return _lengths_of(field, np.stack([left[at], mid, right[at]], axis=1), order)
+    The k = idx.size local polylines live in one (2k, 3, n) buffer of
+    [left, mid, right] rows: rows :k hold the + probes of a coordinate and
+    rows k: the - probes.  left and right are written once; each probe
+    writes only the mid column, and the candidates are the rows of the
+    vertices that move, with their own mid.
+    """
+    n, k = verts.shape[1], idx.size
+    buf = np.empty((2 * k, 3, n), dtype=complex)
+    twice = np.concatenate([idx, idx])
+    buf[:, 0], buf[:, 2] = verts[twice - 1], verts[twice + 1]
+    mids = buf[:, 1]
 
     x = np.concatenate([verts[idx].real, verts[idx].imag], axis=1)
-    f0 = local_lengths(rows, x)
+    probes = np.concatenate([x, x])
+    np.add(x[:, :n], 1j * x[:, n:], out=mids[:k])
+    f0 = _lengths_of(field, buf[:k], order)
     h = 0.25 * np.maximum(
-        np.abs(verts[idx] - left).max(axis=1), np.abs(right - verts[idx]).max(axis=1)
+        np.abs(verts[idx] - buf[:k, 0]).max(axis=1),
+        np.abs(buf[:k, 2] - verts[idx]).max(axis=1),
     )
-    for _pass in range(4):
-        for q in range(2 * n):
-            probes = np.concatenate([x, x])
-            probes[:, q] += np.concatenate([h, -h])
-            fp, fm = np.split(local_lengths(np.concatenate([rows, rows]), probes), 2)
-            with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _pass in range(4):
+            signed = np.concatenate([h, -h])
+            for q in range(2 * n):
+                probes[:k] = x
+                probes[k:] = x
+                probes[:, q] += signed
+                np.add(probes[:, :n], 1j * probes[:, n:], out=mids)
+                f = _lengths_of(field, buf, order)
+                fp, fm = f[:k], f[k:]
                 curv = fp - 2 * f0 + fm
                 parabolic = curv > 0
                 # fmin/fmax drop a nan step (from inf probes) in favour of the
@@ -549,16 +575,18 @@ def _relax_vertices(
                     np.fmax(-3 * h, np.fmin(3 * h, 0.5 * h * (fm - fp) / curv)),
                     np.where(fp < fm, h, -h),
                 )
-            moving = np.flatnonzero(parabolic | (fp < f0) | (fm < f0))
-            if moving.size == 0:
-                continue
-            xc = x[moving]
-            xc[:, q] += step[moving]
-            fc = local_lengths(moving, xc)
-            better = fc < f0[moving]
-            x[moving[better]] = xc[better]
-            f0[moving[better]] = fc[better]
-        h = h * 0.35
+                moving = np.flatnonzero(parabolic | (fp < f0) | (fm < f0))
+                if moving.size == 0:
+                    continue
+                xc = x[moving]
+                xc[:, q] += step[moving]
+                cand = buf[moving]
+                np.add(xc[:, :n], 1j * xc[:, n:], out=cand[:, 1])
+                fc = _lengths_of(field, cand, order)
+                better = fc < f0[moving]
+                x[moving[better]] = xc[better]
+                f0[moving[better]] = fc[better]
+            h = h * 0.35
     verts[idx] = x[:, :n] + 1j * x[:, n:]
 
 

@@ -98,9 +98,39 @@ class TestBatchedFallback:
             stack = _random_stack(rng, batch, m, n, centers, radii, reach=1.1)
             got = kernels.polyline_lengths(stack, centers, radii, nodes, weights)
             assert got.shape == (batch,)
-            for verts, value in zip(stack, got):
-                want = kernels.polyline_length(verts, centers, radii, nodes, weights)
-                assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+            want = [
+                kernels.polyline_length(verts, centers, radii, nodes, weights)
+                for verts in stack
+            ]
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sub_batch_equals_full_rows(self, n):
+        # a row's length depends on that row only, bit for bit
+        rng = np.random.default_rng(30 + n)
+        nodes, weights = _gauss01(8)
+        centers = rng.normal(size=n) + 1j * rng.normal(size=n)
+        radii = rng.uniform(0.5, 2.0, size=n)
+        stack = _random_stack(rng, 64, 3, n, centers, radii, reach=1.1)
+        full = kernels.polyline_lengths(stack, centers, radii, nodes, weights)
+        assert 0 < np.count_nonzero(full == -1.0) < 64
+        for idx in (
+            np.arange(0, 64, 3),
+            rng.permutation(64)[:17],
+            np.array([5]),
+            np.arange(64)[::-1],
+        ):
+            sub = kernels.polyline_lengths(stack[idx], centers, radii, nodes, weights)
+            assert np.array_equal(sub, full[idx])
+
+    def test_single_vertex_stack_zero(self):
+        rng = np.random.default_rng(5)
+        centers = np.array([0.2 + 0.1j, -0.5j])
+        radii = np.array([1.0, 0.7])
+        nodes, weights = _gauss01(8)
+        stack = _random_stack(rng, 6, 1, 2, centers, radii)
+        got = kernels.polyline_lengths(stack, centers, radii, nodes, weights)
+        assert np.array_equal(got, np.zeros(6))
 
     def test_escape_sentinel_only_where_escaping(self):
         rng = np.random.default_rng(11)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import random_disk_selfmaps
+from hypermetric import metrics
 from hypermetric.domains import (
     Disk,
     Polydisc,
     SemiAnalytic,
     _sphere_directions,
     contains,
+    inner_gap,
     sample,
     unit_disk,
 )
@@ -20,9 +22,11 @@ from hypermetric.metrics import (
     EXACT,
     LOWER,
     UPPER,
+    MetricField,
     Polyline,
     _BLOCK_POINTS,
     _competitors_for,
+    _coordinate_descent,
     _gauss01,
     _lengths_of,
     _zeta_grid,
@@ -205,6 +209,24 @@ class TestKobayashiMetric:
         improved = kobayashi_metric(sd, 0, 1, inner=Disk(0, 0.5)).value
         assert improved <= plain + 1e-12
 
+    def test_inner_gap_cached_per_inner_domain(self, monkeypatch):
+        sd = SemiAnalytic([(parse(MOEBIUS, 1), 1.0)], [BOX])
+        inner = Disk(0, 0.5)
+        first = kobayashi_metric(sd, 0.1, 1, inner=inner)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner_gap(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "inner_gap", counted)
+        assert kobayashi_metric(sd, 0.1, 1, inner=inner) == first
+        assert kobayashi_metric(sd, 0.2j, 1j, inner=inner).kind == UPPER
+        assert calls == []
+        other = Disk(0, 0.4)
+        kobayashi_metric(sd, 0.1, 1, inner=other)
+        assert len(calls) == 1 and calls[0][0] is other and calls[0][1] is sd
+
 
 class TestCaratheodoryDistance:
     def test_disk_matches_poincare(self):
@@ -327,6 +349,117 @@ class TestIntegratedDistance:
         assert first.value == pytest.approx(poincare_distance(0.2j, -0.3), abs=1e-4)
         again = integrated_distance(field, d, 0.2j, -0.3, segments=4, refinements=0)
         assert again.value == first.value
+
+
+# The descent step as written before the probe buffer: one stacked call per
+# probe, with the same arithmetic.  The buffered _relax_vertices must give the
+# same bits; both run on the same machine, so no literal depends on the SIMD
+# paths of one CPU.
+def _reference_relax_vertices(
+    field: MetricField, verts: np.ndarray, idx: np.ndarray, order: int
+) -> None:
+    """Parabolic coordinate steps on the mutually independent vertices idx.
+
+    No vertex in idx neighbours another, so each local objective (the length
+    of [left, vertex, right]) depends on one moving vertex only and all of
+    them are evaluated together: one batched call for the +/- probes of a
+    coordinate, one for the parabolic candidates.  Updates verts in place.
+    """
+    n = verts.shape[1]
+    left, right = verts[idx - 1], verts[idx + 1]
+    rows = np.arange(idx.size)
+
+    def local_lengths(at: np.ndarray, x: np.ndarray) -> np.ndarray:
+        mid = x[:, :n] + 1j * x[:, n:]
+        return _lengths_of(field, np.stack([left[at], mid, right[at]], axis=1), order)
+
+    x = np.concatenate([verts[idx].real, verts[idx].imag], axis=1)
+    f0 = local_lengths(rows, x)
+    h = 0.25 * np.maximum(
+        np.abs(verts[idx] - left).max(axis=1), np.abs(right - verts[idx]).max(axis=1)
+    )
+    for _pass in range(4):
+        for q in range(2 * n):
+            probes = np.concatenate([x, x])
+            probes[:, q] += np.concatenate([h, -h])
+            fp, fm = np.split(local_lengths(np.concatenate([rows, rows]), probes), 2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                curv = fp - 2 * f0 + fm
+                parabolic = curv > 0
+                # fmin/fmax drop a nan step (from inf probes) in favour of the
+                # clip bound, as Python's min/max do with a nan second argument
+                step = np.where(
+                    parabolic,
+                    np.fmax(-3 * h, np.fmin(3 * h, 0.5 * h * (fm - fp) / curv)),
+                    np.where(fp < fm, h, -h),
+                )
+            moving = np.flatnonzero(parabolic | (fp < f0) | (fm < f0))
+            if moving.size == 0:
+                continue
+            xc = x[moving]
+            xc[:, q] += step[moving]
+            fc = local_lengths(moving, xc)
+            better = fc < f0[moving]
+            x[moving[better]] = xc[better]
+            f0[moving[better]] = fc[better]
+        h = h * 0.35
+    verts[idx] = x[:, :n] + 1j * x[:, n:]
+
+
+# sample(Polydisc([0, 0], [1, 1]), 4, seed=1); the pair (2, 3) is where the
+# descent stalls
+BIDISC = Polydisc([0, 0], [1, 1])
+BIDISC_POINTS = [p.coords for p in sample(BIDISC, 4, seed=1)]
+TRIDISC = Polydisc([0, 0.1j, -0.2], [1, 0.5, 2])
+
+
+class TestDescentMatchesReference:
+    # metric field, endpoints, integrated_distance options
+    CASES = {
+        "disk": (
+            metric_field(unit_disk()),
+            0.634986 + 0.028j,
+            -0.434805 + 0.68186j,
+            {},
+        ),
+        "bidisc": (metric_field(BIDISC), BIDISC_POINTS[0], BIDISC_POINTS[1], {}),
+        "bidisc-stall": (metric_field(BIDISC), BIDISC_POINTS[2], BIDISC_POINTS[3], {}),
+        "tridisc": (
+            metric_field(TRIDISC),
+            (0.5, 0.3j, 1.2),
+            (-0.4j, 0.1 - 0.2j, -1.5j),
+            {},
+        ),
+        # no polydisc model: the _lengths_of branch that tests membership and
+        # evaluates the competitor field at the nodes
+        "moebius-disk": (
+            metric_field(MOEBIUS_DISK, "caratheodory", directions=16),
+            0.1j,
+            -0.3 + 0.2j,
+            {"segments": 4, "refinements": 0},
+        ),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def case(self, request):
+        return self.CASES[request.param]
+
+    def test_integrated_distance_bitwise(self, case, monkeypatch):
+        field, a, b, opts = case
+        got = integrated_distance(field, field.domain, a, b, **opts)
+        monkeypatch.setattr(metrics, "_relax_vertices", _reference_relax_vertices)
+        want = integrated_distance(field, field.domain, a, b, **opts)
+        assert got == want
+
+    def test_coordinate_descent_bitwise(self, case, monkeypatch):
+        field, a, b, _ = case
+        za, zb = np.atleast_1d(a).astype(complex), np.atleast_1d(b).astype(complex)
+        verts = za + np.linspace(0, 1, 9)[:, None] * (zb - za)
+        got = _coordinate_descent(field, verts, 8, max_sweeps=24, rel_tol=5e-8)
+        monkeypatch.setattr(metrics, "_relax_vertices", _reference_relax_vertices)
+        want = _coordinate_descent(field, verts, 8, max_sweeps=24, rel_tol=5e-8)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, verts)
 
 
 class TestSchwarzPick:
