@@ -247,22 +247,6 @@ def _affine_disk_radii(
     return out
 
 
-def _dilation_for(d: Domain, inner: Domain) -> tuple:
-    """(diameter_bound(inner), inner_gap(inner, d)), cached on d per inner.
-
-    The cache holds inner itself next to the pair, so that the id it is
-    keyed by cannot pass to another domain while the entry lives.
-    """
-    cache = getattr(d, "_dilation_cache", None)
-    if cache is None:
-        cache = {}
-        d._dilation_cache = cache
-    key = id(inner)
-    if key not in cache:
-        cache[key] = (inner, diameter_bound(inner), inner_gap(inner, d))
-    return cache[key][1:]
-
-
 def kobayashi_metric(
     d: Domain,
     x,
@@ -290,7 +274,8 @@ def kobayashi_metric(
     if field.kind == EXACT:
         return Bound(best, EXACT)
     if inner is not None and contains(inner, x):
-        R, r = _dilation_for(d, inner)
+        R = diameter_bound(inner)
+        r = inner_gap(inner, d)
         rho_inner = float(_affine_disk_radii(inner, z[None], (varr / vnorm)[None], tol)[0])
         if rho_inner > 0:
             best = min(best, vnorm / (rho_inner * (1 + r / R)))
@@ -556,16 +541,16 @@ def _relax_vertices(
         np.abs(verts[idx] - buf[:k, 0]).max(axis=1),
         np.abs(buf[:k, 2] - verts[idx]).max(axis=1),
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _pass in range(4):
-            signed = np.concatenate([h, -h])
-            for q in range(2 * n):
-                probes[:k] = x
-                probes[k:] = x
-                probes[:, q] += signed
-                np.add(probes[:, :n], 1j * probes[:, n:], out=mids)
-                f = _lengths_of(field, buf, order)
-                fp, fm = f[:k], f[k:]
+    for _pass in range(4):
+        signed = np.concatenate([h, -h])
+        for q in range(2 * n):
+            probes[:k] = x
+            probes[k:] = x
+            probes[:, q] += signed
+            np.add(probes[:, :n], 1j * probes[:, n:], out=mids)
+            f = _lengths_of(field, buf, order)
+            fp, fm = f[:k], f[k:]
+            with np.errstate(divide="ignore", invalid="ignore"):
                 curv = fp - 2 * f0 + fm
                 parabolic = curv > 0
                 # fmin/fmax drop a nan step (from inf probes) in favour of the
@@ -575,18 +560,18 @@ def _relax_vertices(
                     np.fmax(-3 * h, np.fmin(3 * h, 0.5 * h * (fm - fp) / curv)),
                     np.where(fp < fm, h, -h),
                 )
-                moving = np.flatnonzero(parabolic | (fp < f0) | (fm < f0))
-                if moving.size == 0:
-                    continue
-                xc = x[moving]
-                xc[:, q] += step[moving]
-                cand = buf[moving]
-                np.add(xc[:, :n], 1j * xc[:, n:], out=cand[:, 1])
-                fc = _lengths_of(field, cand, order)
-                better = fc < f0[moving]
-                x[moving[better]] = xc[better]
-                f0[moving[better]] = fc[better]
-            h = h * 0.35
+            moving = np.flatnonzero(parabolic | (fp < f0) | (fm < f0))
+            if moving.size == 0:
+                continue
+            xc = x[moving]
+            xc[:, q] += step[moving]
+            cand = buf[moving]
+            np.add(xc[:, :n], 1j * xc[:, n:], out=cand[:, 1])
+            fc = _lengths_of(field, cand, order)
+            better = fc < f0[moving]
+            x[moving[better]] = xc[better]
+            f0[moving[better]] = fc[better]
+        h = h * 0.35
     verts[idx] = x[:, :n] + 1j * x[:, n:]
 
 

@@ -11,7 +11,6 @@ from hypermetric.domains import (
     SemiAnalytic,
     _sphere_directions,
     contains,
-    inner_gap,
     sample,
     unit_disk,
 )
@@ -208,24 +207,6 @@ class TestKobayashiMetric:
         plain = kobayashi_metric(sd, 0, 1).value
         improved = kobayashi_metric(sd, 0, 1, inner=Disk(0, 0.5)).value
         assert improved <= plain + 1e-12
-
-    def test_inner_gap_cached_per_inner_domain(self, monkeypatch):
-        sd = SemiAnalytic([(parse(MOEBIUS, 1), 1.0)], [BOX])
-        inner = Disk(0, 0.5)
-        first = kobayashi_metric(sd, 0.1, 1, inner=inner)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return inner_gap(*args, **kwargs)
-
-        monkeypatch.setattr(metrics, "inner_gap", counted)
-        assert kobayashi_metric(sd, 0.1, 1, inner=inner) == first
-        assert kobayashi_metric(sd, 0.2j, 1j, inner=inner).kind == UPPER
-        assert calls == []
-        other = Disk(0, 0.4)
-        kobayashi_metric(sd, 0.1, 1, inner=other)
-        assert len(calls) == 1 and calls[0][0] is other and calls[0][1] is sd
 
 
 class TestCaratheodoryDistance:
