@@ -90,9 +90,6 @@ class TangentVector:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dir", dir)
 
-    def dir_array(self) -> np.ndarray:
-        return np.array(self.dir, dtype=complex)
-
 
 def as_point(p) -> Point:
     if isinstance(p, Point):
@@ -509,6 +506,14 @@ class _Halton:
         return out
 
 
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of V, rounded as np.linalg.norm of one row
+    (np.linalg.norm(V, axis=1) rounds differently): each (1, n) @ (n, 1)
+    product goes through the same dot as its norm."""
+    sq = [np.matmul(P[:, None, :], P[:, :, None])[:, 0, 0] for P in (V.real, V.imag)]
+    return np.sqrt(sq[0] + sq[1])
+
+
 def _sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
     """Deterministic unit directions in C^n (2n real dimensions)."""
     dirs = []
@@ -519,11 +524,10 @@ def _sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
             dirs.append(e)
     if len(dirs) < count:
         raw = _Halton(2 * n, seed).random(count - len(dirs))
-        # inverse-normal pushforward gives a rotation-invariant direction set
-        from scipy.special import ndtri
-
-        g = ndtri(np.clip(raw, 1e-12, 1 - 1e-12))
-        vec = g[:, :n] + 1j * g[:, n:]
+        # Box-Muller: one standard complex Gaussian per coordinate, so the
+        # normalized set is rotation invariant
+        u, v = raw[:, 0::2], raw[:, 1::2]
+        vec = np.sqrt(-np.log1p(-u)) * np.exp(2j * np.pi * v)
         norms = np.linalg.norm(vec, axis=1)
         norms[norms == 0] = 1.0
         dirs.extend(vec / norms[:, None])
@@ -584,8 +588,7 @@ def _push_to_boundary(
     """Rows of Z moved out along their rays from anchor to within about
     delta of the boundary; a row stays put if its candidate leaves d."""
     W = Z - anchor
-    # row by row: np.linalg.norm(W, axis=1) rounds differently
-    norms = np.array([np.linalg.norm(w) for w in W])
+    norms = _row_norms(W)
     moving = np.flatnonzero(norms >= 1e-12)
     W, norms = W[moving], norms[moving]
     if isinstance(d, Polydisc):

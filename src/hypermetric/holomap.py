@@ -332,10 +332,6 @@ def identity_map(n: int) -> HoloMap:
     return HoloMap(n, tuple(Var(j) for j in range(n)))
 
 
-def constant_map(values, n: int) -> HoloMap:
-    return HoloMap(n, tuple(Const(complex(c)) for c in values))
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -566,7 +562,6 @@ __all__ = [
     "compose",
     "range_check",
     "identity_map",
-    "constant_map",
     "add",
     "sub",
     "mul",

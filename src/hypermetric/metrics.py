@@ -22,12 +22,11 @@ from .domains import (
     Polydisc,
     SemiAnalytic,
     _BLOCK_POINTS,
+    _row_norms,
     _sphere_directions,
     as_point,
     as_vector,
     contains,
-    diameter_bound,
-    inner_gap,
     sample,
 )
 from .errors import (
@@ -204,13 +203,6 @@ def _zeta_grid() -> np.ndarray:
     return np.concatenate([[0j]] + [[r * a for a in angles] for r in _ZETA_RADII])
 
 
-def _row_norms(V: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of V, rounded as np.linalg.norm of one row:
-    each (1, n) @ (n, 1) product goes through the same dot as its norm."""
-    sq = [np.matmul(P[:, None, :], P[:, :, None])[:, 0, 0] for P in (V.real, V.imag)]
-    return np.sqrt(sq[0] + sq[1])
-
-
 def _affine_disk_radii(
     d: Domain, Z: np.ndarray, U: np.ndarray, tol: float
 ) -> np.ndarray:
@@ -247,38 +239,23 @@ def _affine_disk_radii(
     return out
 
 
-def kobayashi_metric(
-    d: Domain,
-    x,
-    v,
-    inner: Optional[Domain] = None,
-    tol: float = 1e-6,
-) -> Bound:
+def kobayashi_metric(d: Domain, x, v, tol: float = 1e-6) -> Bound:
     """Infimum of |lambda| over analytic disks through x with lambda·phi'(0) = v.
 
     Exact on polydiscs (where it coincides with the Carathéodory metric).
     On semi-analytic domains, an upper bound from the largest affine analytic
-    disk through x in direction v, improved by the gap dilation when a
-    relatively compact inner domain containing x is supplied.
+    disk through x in direction v.
     """
     x = as_point(x)
     if not contains(d, x):
         raise MembershipError(f"point {x.coords} is not in the domain")
     varr = as_vector(v, d.dim)
-    z = x.as_array()
-    vnorm = float(np.linalg.norm(varr))
-    if vnorm == 0.0:
+    if float(np.linalg.norm(varr)) == 0.0:
         return Bound(0.0, EXACT)
     field = metric_field(d, "kobayashi", tol=tol)
-    best = float(field.eval(z[None], varr[None])[0])
+    best = float(field.eval(x.as_array()[None], varr[None])[0])
     if field.kind == EXACT:
         return Bound(best, EXACT)
-    if inner is not None and contains(inner, x):
-        R = diameter_bound(inner)
-        r = inner_gap(inner, d)
-        rho_inner = float(_affine_disk_radii(inner, z[None], (varr / vnorm)[None], tol)[0])
-        if rho_inner > 0:
-            best = min(best, vnorm / (rho_inner * (1 + r / R)))
     return Bound(best, UPPER, tol=tol * best)
 
 

@@ -418,9 +418,20 @@ class TestHalton:
             assert np.array_equal(ours.random(count), theirs.random(count))
 
     def test_cli_import_loads_no_scipy(self):
+        # the sampled paths too: competitors on 64 directions, a ray march on
+        # 32, and verify's tangent vectors
         src = os.path.dirname(os.path.dirname(hypermetric.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, hypermetric.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        code = f"""
+import sys, hypermetric.cli
+from hypermetric import Disk, SemiAnalytic, parse
+from hypermetric import boundary_distance, caratheodory_metric, verify_metric_contraction
+X = SemiAnalytic([(parse("{MOEBIUS}", 1), 1.0)], [{WIDE_BOX}])
+caratheodory_metric(X, 0.3, 1, directions=64)
+boundary_distance(X, 0.3)
+verify_metric_contraction(X, Disk(0, 0.5), 0.75, samples=8)
+print([m for m in sys.modules if m.split('.')[0] == 'scipy'])
+"""
         out = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": path},
@@ -429,8 +440,21 @@ class TestHalton:
         assert out.stdout.strip() == "[]"
 
 
+class TestSphereDirections:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unit_axes_first_seeded(self, n):
+        dirs = _sphere_directions(n, 64, seed=5)
+        assert dirs.shape == (64, n)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-12)
+        axes = [w * np.eye(n)[j] for j in range(n) for w in (1, -1, 1j, -1j)]
+        assert np.array_equal(dirs[: 4 * n], axes)
+        assert np.array_equal(dirs, _sphere_directions(n, 64, seed=5))
+        assert not np.array_equal(dirs, _sphere_directions(n, 64, seed=6))
+
+
 class TestPinnedValues:
-    """Sampled values recorded before membership was batched; they must not move."""
+    """Recorded sampled values; they must not move.  The Möbius-cut domain is
+    the unit disk, so its values are also bracketed by the closed form."""
 
     # sample(unit_disk(), 7, seed=1) and sample(Polydisc([0, 0], [1, 1]), 4,
     # seed=1), as frozen in the benchmark's DISK_GRID and BIDISC_POINTS
@@ -472,11 +496,19 @@ class TestPinnedValues:
         assert tuple(p.coords[0] for p in pts) == self.MOEBIUS_SAMPLE
 
     def test_moebius_boundary_distance(self):
-        got = [boundary_distance(moebius_disk(), z) for z in (0, 0.5, -0.3 + 0.4j, 0.6 - 0.6j)]
-        assert got == [0.8999999999848717, 0.44999999999243584, 0.4500022696101065, 0.136345703961282]
+        zs = (0, 0.5, -0.3 + 0.4j, 0.6 - 0.6j)
+        got = [boundary_distance(moebius_disk(), z) for z in zs]
+        assert got == [0.8999999999848717, 0.44999999999243584, 0.4506474641309885, 0.13692104546744543]
+        # the domain is the unit disk, so the sampled distance brackets the
+        # closed form times the safety factor
+        for z, dist in zip(zs, got):
+            truth = GAP_SAFETY * (1 - abs(z))
+            assert truth - 1e-9 <= dist <= truth + 1e-3
 
     def test_moebius_inner_gap(self):
-        assert inner_gap(Disk(0, 0.5), moebius_disk()) == 0.4131030821701029
+        gap = inner_gap(Disk(0, 0.5), moebius_disk())
+        assert gap == 0.41312460682471314
+        assert 0.405 <= gap <= 0.45
 
 
 class TestJson:

@@ -202,11 +202,15 @@ class TestKobayashiMetric:
         assert b.kind == UPPER
         assert b.value == pytest.approx(1.0, abs=1e-3)
 
-    def test_inner_dilation_improves(self):
-        sd = disk_as_semianalytic()
-        plain = kobayashi_metric(sd, 0, 1).value
-        improved = kobayashi_metric(sd, 0, 1, inner=Disk(0, 0.5)).value
-        assert improved <= plain + 1e-12
+    @pytest.mark.xfail(
+        strict=True,
+        reason="wrong upper tag (CHANGES.md FOUND, sampled rigour): _zeta_grid "
+        "stops at |zeta| = 0.9995, so the affine disk overshoots and the "
+        "Moebius-cut disk at 0 gives upper 0.99950 below the true metric 1",
+    )
+    def test_moebius_upper_is_above_truth(self):
+        b = kobayashi_metric(MOEBIUS_DISK, 0, 1)
+        assert b.kind == UPPER and b.value + b.tol >= 1.0
 
 
 class TestCaratheodoryDistance:
