@@ -22,7 +22,6 @@ import numpy as np
 
 from .domains import (
     Domain,
-    Point,
     Polydisc,
     _sphere_directions,
     diameter_bound,
@@ -32,10 +31,11 @@ from .domains import (
 from .errors import ArgumentError
 from .holomap import Const, HoloMap, add, mul, sub
 from .metrics import (
+    DEFAULT_DIRECTIONS,
     Bound,
     EXACT,
     LOWER,
-    caratheodory_distance,
+    _competitors_for,
     caratheodory_metric,
     kobayashi_metric,
 )
@@ -87,8 +87,10 @@ def caratheodory_diameter(
     """Diameter of U for the Carathéodory pseudodistance of X.
 
     Exact for concentric nested polydiscs (antipodal boundary pairs are
-    extremal coordinatewise); otherwise the max over sampled boundary-biased
-    pairs, a lower bound.
+    extremal coordinatewise); otherwise a lower bound: the max over sampled
+    boundary-biased pairs of the Poincaré distance between their images
+    under maps of X into the disk, the normalized coordinates of a polydisc
+    or the competitors of a semi-analytic domain.
     """
     inner_gap(U, X, samples=samples, seed=seed)  # probes relative compactness
     if (
@@ -98,39 +100,36 @@ def caratheodory_diameter(
     ):
         ratios = U.radii / X.radii
         return Bound(float(2 * np.arctanh(ratios).max()), EXACT)
-    pts = [p.as_array() for p in sample(U, samples, seed)]
-    pts.extend(_extremal_probes(U, seed))
+    Z = np.concatenate([sample(U, samples, seed), _extremal_probes(U, seed)])
     if isinstance(X, Polydisc):
-        arr = np.array(pts)
-        best = 0.0
-        for j in range(X.dim):
-            w = (arr[:, j] - X.centers[j]) / X.radii[j]
-            # pairwise Poincaré distances in coordinate j, vectorized
-            zz = w[:, None]
-            ww = w[None, :]
-            ratio = np.abs((zz - ww) / (1 - np.conj(ww) * zz))
-            np.clip(ratio, 0.0, 1 - 1e-16, out=ratio)
-            best = max(best, float(np.arctanh(ratio).max()))
-        return Bound(best, LOWER)
-    cap = min(len(pts), 64)  # pair sweep with holomorphic competitors is costly
+        W = (Z - X.centers) / X.radii
+    else:
+        W, _ = _competitors_for(X, DEFAULT_DIRECTIONS, 0).eval(Z, np.zeros_like(Z))
     best = 0.0
-    for i in range(cap):
-        for j in range(i + 1, cap):
-            best = max(best, caratheodory_distance(X, pts[i], pts[j]).value)
+    for w in W.T:
+        # pairwise Poincaré distances in one column, over the images in the
+        # disk, as caratheodory_distance takes them
+        w = w[np.abs(w) < 1]
+        zz = w[:, None]
+        ww = w[None, :]
+        ratio = np.abs((zz - ww) / (1 - np.conj(ww) * zz))
+        np.clip(ratio, 0.0, 1 - 1e-16, out=ratio)
+        best = max(best, float(np.arctanh(ratio).max(initial=0.0)))
     return Bound(best, LOWER)
 
 
-def _extremal_probes(U: Domain, seed: int, backoff: float = 1e-3) -> list:
-    """Near-boundary antipodal pairs in U, so sampled suprema are nearly sharp."""
+def _extremal_probes(U: Domain, seed: int, backoff: float = 1e-3) -> np.ndarray:
+    """Near-boundary antipodal pairs in U, as the rows of a (k, dim) array,
+    so sampled suprema are nearly sharp."""
     if not isinstance(U, Polydisc):
-        return []
+        return np.empty((0, U.dim), dtype=complex)
     dirs = _sphere_directions(U.dim, 4 * U.dim + 8, seed)
     size = np.abs(dirs)
     scale = np.where(size > 0, U.radii / np.maximum(size, 1e-300), np.inf).min(axis=1)
     step = dirs * (scale - backoff * U.box_scale())[:, None]
     pairs = np.stack([U.centers + step, U.centers - step], axis=1)  # (k, 2, n)
     keep = U.contains_many(pairs.reshape(-1, U.dim)).reshape(-1, 2).all(axis=1)
-    return list(pairs[keep].reshape(-1, U.dim))
+    return pairs[keep].reshape(-1, U.dim)
 
 
 def tanh_diameter_constant(
@@ -255,15 +254,16 @@ def verify_metric_contraction(
     """
     if not (0 < k < 1):
         raise ArgumentError("k must be in (0, 1)")
-    pts = sample(U, samples, seed)
+    Z = sample(U, samples, seed)
     if isinstance(U, Polydisc):
-        pts = [Point(U.centers)] + pts  # the analytic worst case sits at the center
+        # the analytic worst case sits at the center
+        Z = np.concatenate([U.centers[None], Z])
     dirs = _sphere_directions(U.dim, 4 * U.dim + 8, seed + 1)
     n_h = n_i = n_v = 0
     max_ratio = None
     argmax = None
     records = []
-    for idx, x in enumerate(pts):
+    for idx, x in enumerate(map(tuple, Z.tolist())):
         v = dirs[idx % len(dirs)]
         outer = _metric_bound(metric, X, x, v)
         inner = _metric_bound(metric, U, x, v)
@@ -273,7 +273,7 @@ def verify_metric_contraction(
             ratio = outer.value / inner.value
             if max_ratio is None or ratio > max_ratio:
                 max_ratio = ratio
-                argmax = x.coords
+                argmax = x
         up = outer.upper_value()
         lo = inner.lower_value()
         if up is not None and lo is not None and up <= k * lo + tol:
@@ -286,7 +286,7 @@ def verify_metric_contraction(
             verdict = INCONCLUSIVE
             n_i += 1
         records.append(
-            SampleVerdict(x.coords, tuple(v), outer, inner, verdict, ratio)
+            SampleVerdict(x, tuple(v), outer, inner, verdict, ratio)
         )
     overall = HOLDS if n_v == 0 and n_i == 0 else (VIOLATED if n_v else INCONCLUSIVE)
     return VerificationReport(

@@ -73,24 +73,6 @@ class Point:
         return np.array(self.coords, dtype=complex)
 
 
-@dataclasses.dataclass(frozen=True)
-class TangentVector:
-    """A complex direction attached to a base point."""
-
-    base: Point
-    dir: tuple
-
-    def __init__(self, base, dir):
-        base = as_point(base)
-        if isinstance(dir, (int, float, complex)):
-            dir = (dir,)
-        dir = _finite_complex(dir)
-        if len(dir) != base.dim:
-            raise ArgumentError("tangent vector dimension mismatch")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "dir", dir)
-
-
 def as_point(p) -> Point:
     if isinstance(p, Point):
         return p
@@ -98,8 +80,6 @@ def as_point(p) -> Point:
 
 
 def as_vector(v, n: int) -> np.ndarray:
-    if isinstance(v, TangentVector):
-        v = v.dir
     if isinstance(v, (int, float, complex)):
         v = (v,)
     arr = np.array(_finite_complex(v), dtype=complex)
@@ -437,12 +417,11 @@ def inner_gap(
         return g
     # the gap probe is the hot consumer of boundary distances; keep the
     # per-point direction count modest
-    pts = sample(U, min(samples, 128), seed)
-    Z = np.array([p.as_array() for p in pts])
+    Z = sample(U, min(samples, 128), seed)
     inside = X.contains_many(Z)
     if not inside.all():
-        escaped = pts[np.argmin(inside)]
-        raise InclusionError(f"sampled point {escaped.coords} of U escapes X")
+        escaped = tuple(Z[np.argmin(inside)].tolist())
+        raise InclusionError(f"sampled point {escaped} of U escapes X")
     opts = {"directions": 8} if isinstance(X, SemiAnalytic) else {}
     g = GAP_SAFETY * float(X.boundary_distance_many(Z, **opts).min())
     if g <= INCLUSION_FLOOR:
@@ -534,8 +513,9 @@ def _sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
     return np.array(dirs[:count])
 
 
-def sample(d: Domain, count: int, seed: int = 0) -> list:
-    """Seeded low-discrepancy points of d, with a near-boundary share.
+def sample(d: Domain, count: int, seed: int = 0) -> np.ndarray:
+    """Seeded low-discrepancy points of d, as the rows of a (count, dim)
+    complex array, with a near-boundary share.
 
     Every fourth point is pushed along the ray from an interior anchor until
     its distance to the boundary is about 1% of the box scale, so suprema
@@ -546,7 +526,7 @@ def sample(d: Domain, count: int, seed: int = 0) -> list:
     pts = _interior_sample(d, count, seed)
     delta = NEAR_BOUNDARY_FRACTION * d.box_scale()
     pts[3::4] = _push_to_boundary(d, _anchor_of(d), pts[3::4], delta)
-    return [Point(z) for z in pts]
+    return pts
 
 
 def _anchor_of(d: Domain) -> np.ndarray:
@@ -611,7 +591,6 @@ def _push_to_boundary(
 
 __all__ = [
     "Point",
-    "TangentVector",
     "Domain",
     "Disk",
     "Polydisc",

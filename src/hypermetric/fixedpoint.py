@@ -53,7 +53,6 @@ def invariant_distance_upper(X: Domain, a, b, seed: int = 0) -> Bound:
     Kobayashi distances coincide with the coordinate maximum of Poincaré
     distances); an optimized Kobayashi polyline bound otherwise.
     """
-    a, b = as_point(a), as_point(b)
     if isinstance(X, Polydisc):
         d = caratheodory_distance(X, a, b)
         return Bound(d.value, UPPER, tol=d.tol)
@@ -145,22 +144,23 @@ def picard_solve(
         certificate = certificate_for(X, U, method=method, samples=samples, seed=seed)
     k = certificate.k
 
-    points: List[Point] = [x0]
+    rows: List[np.ndarray] = [x0.as_array()]
     steps: List[float] = []
     inv_steps: List[Bound] = []
     d0: Optional[Bound] = None
     step_floor = tol * (1.0 - k) / k if k > 0 else tol
     stop_rule = ""
-    cur = x0
+    cur = rows[0]
     converged = False
     for it in range(max_iter):
-        nxt = f.eval(cur)
-        if not contains(U, nxt):
+        nxt = f.eval_array(cur)
+        # a non-finite iterate is outside U too
+        if not U.contains_many(nxt[None])[0]:
             raise PreconditionError(
                 f"iterate {it + 1} left U; the range evidence was too optimistic"
             )
-        step = float(np.linalg.norm(nxt.as_array() - cur.as_array()))
-        points.append(nxt)
+        step = float(np.linalg.norm(nxt - cur))
+        rows.append(nxt)
         steps.append(step)
         if d0 is None:
             d0 = invariant_distance_upper(X, cur, nxt, seed=seed)
@@ -185,7 +185,7 @@ def picard_solve(
         cur = nxt
 
     trace = IterationTrace(
-        points=tuple(points),
+        points=tuple(Point(z) for z in rows),
         step_euclid=tuple(steps),
         certificate=certificate,
         d0=d0,
@@ -195,13 +195,13 @@ def picard_solve(
         raise NonConvergenceError(
             f"no convergence within {max_iter} iterations", trace=trace
         )
-    residual = float(np.linalg.norm(f.eval(cur).as_array() - cur.as_array()))
-    n = len(points) - 1
+    residual = float(np.linalg.norm(f.eval_array(cur) - cur))
+    n = len(rows) - 1
     tail = certify_tail(trace, n) if d0 is not None else math.inf
     if override_range and evidence.verdict != SUPPORTED:
         stop_rule += " (range evidence overridden)"
     return FixedPointResult(
-        c=cur,
+        c=trace.points[-1],
         residual=residual,
         iterations=n,
         certificate=certificate,

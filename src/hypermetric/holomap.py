@@ -49,6 +49,8 @@ def _pow(b, k: int):
 class Expr:
     """Base class of AST nodes; immutable after construction."""
 
+    __slots__ = ()
+
     def eval(self, z: np.ndarray) -> complex:
         """Value at z of shape (n,), or values at the N columns of z of shape (n, N)."""
         raise NotImplementedError
@@ -78,7 +80,7 @@ def _fmt_real(x: float) -> str:
     return repr(x)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: complex
 
@@ -106,7 +108,7 @@ class Const(Expr):
         return f"{_fmt_real(c.real)}{sign}{_fmt_real(abs(c.imag))}i"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Var(Expr):
     index: int  # zero-based
 
@@ -123,7 +125,7 @@ class Var(Expr):
         return f"z{self.index + 1}"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Neg(Expr):
     a: Expr
 
@@ -141,7 +143,7 @@ class Neg(Expr):
         return "-" + self._child_text(self.a, 2)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Add(Expr):
     a: Expr
     b: Expr
@@ -161,7 +163,7 @@ class Add(Expr):
         return self._child_text(self.a, 0) + " + " + self._child_text(self.b, 1)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Sub(Expr):
     a: Expr
     b: Expr
@@ -181,7 +183,7 @@ class Sub(Expr):
         return self._child_text(self.a, 0) + " - " + self._child_text(self.b, 1)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Mul(Expr):
     a: Expr
     b: Expr
@@ -201,7 +203,7 @@ class Mul(Expr):
         return self._child_text(self.a, 1) + "*" + self._child_text(self.b, 2)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Div(Expr):
     a: Expr
     b: Expr
@@ -227,7 +229,7 @@ class Div(Expr):
         return self._child_text(self.a, 1) + "/" + self._child_text(self.b, 2)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -536,14 +538,14 @@ def range_check(
         raise ArgumentError("map dimensions do not match the domains")
     if margin_floor is None:
         margin_floor = 1e-7 * U.box_scale()
-    pts = sample(X, samples, seed)
-    images = f.eval_array(np.array([p.as_array() for p in pts]).T).T
+    Z = sample(X, samples, seed)
+    images = f.eval_array(Z.T).T
     inside = U.contains_many(images)
     if not inside.all():
-        return RangeEvidence(len(pts), -math.inf, REFUTED, witness=pts[np.argmin(inside)])
+        return RangeEvidence(len(Z), -math.inf, REFUTED, witness=Point(Z[np.argmin(inside)]))
     worst = float(U.boundary_distance_many(images).min())
     verdict = SUPPORTED if worst >= margin_floor else INCONCLUSIVE
-    return RangeEvidence(len(pts), worst, verdict)
+    return RangeEvidence(len(Z), worst, verdict)
 
 
 __all__ = [

@@ -22,6 +22,7 @@ from .domains import (
     Polydisc,
     SemiAnalytic,
     _BLOCK_POINTS,
+    _anchor_of,
     _row_norms,
     _sphere_directions,
     as_point,
@@ -207,7 +208,8 @@ def _affine_disk_radii(
     d: Domain, Z: np.ndarray, U: np.ndarray, tol: float
 ) -> np.ndarray:
     """Largest rho per row (sampled membership, bisection) with
-    Z[i] + zeta·rho·U[i] in d for every zeta of the grid.
+    Z[i] + zeta·rho·U[i] in d for every zeta of the grid, times the grid's
+    outer radius.
 
     The bisection starts from the box diagonal, a radius that never fits:
     the grid points of modulus 0.9995 at opposite angles would lie farther
@@ -236,7 +238,10 @@ def _affine_disk_radii(
             lo = np.where(ok, mid, lo)
             hi = np.where(ok, hi, mid)
         out[start : start + step] = lo
-    return out
+    # the grid stops at |zeta| = _ZETA_RADII[-1], so only the disk of that
+    # fraction of rho was tested; rho itself may overshoot the domain and
+    # make the Kobayashi bound fall below the true metric
+    return _ZETA_RADII[-1] * out
 
 
 def kobayashi_metric(d: Domain, x, v, tol: float = 1e-6) -> Bound:
@@ -598,10 +603,7 @@ def _seed_polyline(
     verts = straight([za, zb])
     if math.isfinite(_length_of(field, verts, 4)):
         return verts
-    from .domains import _anchor_of
-
-    candidates = [_anchor_of(d)] + [p.as_array() for p in sample(d, 32, seed)]
-    for mid in candidates:
+    for mid in np.concatenate([_anchor_of(d)[None], sample(d, 32, seed)]):
         verts = straight([za, mid, zb])
         if math.isfinite(_length_of(field, verts, 4)):
             return verts

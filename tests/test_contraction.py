@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from conftest import random_disk_selfmaps
 from hypermetric.contraction import (
     DILATION,
     TANH_DIAMETER,
+    _extremal_probes,
     caratheodory_diameter,
     certificate_for,
     dilate_disk,
@@ -21,11 +23,19 @@ from hypermetric.domains import (
     contains,
     diameter_bound,
     inner_gap,
+    sample,
     unit_disk,
 )
 from hypermetric.errors import ArgumentError, InclusionError
 from hypermetric.holomap import parse
-from hypermetric.metrics import EXACT, LOWER, Bound
+from hypermetric.metrics import EXACT, LOWER, Bound, caratheodory_distance
+
+
+def moebius_disk():
+    """The unit disk cut out by one of its automorphisms."""
+    return SemiAnalytic(
+        [(parse("(z1 - 0.2)/(1 - 0.2*z1)", 1), 1.0)], [[-1.05, 1.05, -1.05, 1.05]]
+    )
 
 
 class TestCaratheodoryDiameter:
@@ -58,6 +68,22 @@ class TestCaratheodoryDiameter:
         M = caratheodory_diameter(Polydisc([0, 0], [1, 1]), Polydisc([0.1, 0], [0.5, 0.4]))
         assert M.kind == LOWER
         assert 0 < M.value <= math.atanh(1 / 1.24) + 1e-12
+
+    @pytest.mark.parametrize("center, radius", [(0, 0.5), (0.3j, 0.4)])
+    def test_semianalytic_close_to_closed_form(self, center, radius):
+        # the Möbius-cut domain is the unit disk, in which Disk(c, rho) has
+        # the diameter atanh(2 rho / (1 - |c|^2 + rho^2))
+        X, U = moebius_disk(), Disk(center, radius)
+        M = caratheodory_diameter(X, U)
+        exact = math.atanh(2 * radius / (1 - abs(center) ** 2 + radius**2))
+        assert M.kind == LOWER
+        assert exact >= M.value - 1e-12 >= 0.99 * exact
+        # on a small sample, the sup over pairs of caratheodory_distance
+        pts = np.concatenate([sample(U, 24), _extremal_probes(U, 0)])
+        pairs = itertools.combinations(pts, 2)
+        want = max(caratheodory_distance(X, a, b).value for a, b in pairs)
+        small = caratheodory_diameter(X, U, samples=24)
+        assert small.value == pytest.approx(want, rel=1e-12)
 
     def test_not_relatively_compact(self):
         with pytest.raises(InclusionError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff_jvp, random_disk_selfmaps
-from hypermetric.domains import Disk, unit_disk
+from hypermetric.domains import Disk, Point, Polydisc, unit_disk
 from hypermetric.errors import ArgumentError, ParseError, SingularityError
 from hypermetric.holomap import (
     INCONCLUSIVE,
@@ -280,6 +280,14 @@ class TestRangeCheck:
     def test_refuted_identity(self):
         ev = range_check(parse("z1", 1), unit_disk(), Disk(0, 0.5))
         assert ev.verdict == REFUTED
+
+    def test_refuted_witness_is_a_point_of_x(self):
+        X, U = Polydisc([0, 0], [1, 1]), Polydisc([0, 0], [0.5, 0.5])
+        f = parse("z1/4; z2", 2)
+        ev = range_check(f, X, U, samples=64)
+        assert ev.verdict == REFUTED
+        assert isinstance(ev.witness, Point) and ev.witness.dim == 2
+        assert X.contains(ev.witness) and not U.contains(f.eval(ev.witness))
 
     def test_supported_quadratic(self):
         f = parse("(z1^2+1)/4", 1)
