@@ -23,6 +23,7 @@ import numpy as np
 from .domains import (
     Domain,
     Polydisc,
+    _raise_outside,
     _sphere_directions,
     diameter_bound,
     inner_gap,
@@ -35,9 +36,9 @@ from .metrics import (
     Bound,
     EXACT,
     LOWER,
-    _competitors_for,
-    caratheodory_metric,
-    kobayashi_metric,
+    _disk_images,
+    _poincare,
+    metric_field,
 )
 
 TANH_DIAMETER = "tanh_diameter"
@@ -87,10 +88,9 @@ def caratheodory_diameter(
     """Diameter of U for the Carathéodory pseudodistance of X.
 
     Exact for concentric nested polydiscs (antipodal boundary pairs are
-    extremal coordinatewise); otherwise a lower bound: the max over sampled
-    boundary-biased pairs of the Poincaré distance between their images
-    under maps of X into the disk, the normalized coordinates of a polydisc
-    or the competitors of a semi-analytic domain.
+    extremal coordinatewise); otherwise a lower bound, equal to the max of
+    caratheodory_distance over the ordered pairs of sampled boundary-biased
+    points of U: all pairs of one image column at a time.
     """
     inner_gap(U, X, samples=samples, seed=seed)  # probes relative compactness
     if (
@@ -101,20 +101,9 @@ def caratheodory_diameter(
         ratios = U.radii / X.radii
         return Bound(float(2 * np.arctanh(ratios).max()), EXACT)
     Z = np.concatenate([sample(U, samples, seed), _extremal_probes(U, seed)])
-    if isinstance(X, Polydisc):
-        W = (Z - X.centers) / X.radii
-    else:
-        W, _ = _competitors_for(X, DEFAULT_DIRECTIONS, 0).eval(Z, np.zeros_like(Z))
     best = 0.0
-    for w in W.T:
-        # pairwise Poincaré distances in one column, over the images in the
-        # disk, as caratheodory_distance takes them
-        w = w[np.abs(w) < 1]
-        zz = w[:, None]
-        ww = w[None, :]
-        ratio = np.abs((zz - ww) / (1 - np.conj(ww) * zz))
-        np.clip(ratio, 0.0, 1 - 1e-16, out=ratio)
-        best = max(best, float(np.arctanh(ratio).max(initial=0.0)))
+    for w in _disk_images(X, Z, DEFAULT_DIRECTIONS, 0).T:
+        best = max(best, float(_poincare(w[:, None], w[None, :]).max(initial=0.0)))
     return Bound(best, LOWER)
 
 
@@ -230,14 +219,6 @@ class VerificationReport:
         }
 
 
-def _metric_bound(metric: str, d: Domain, x, v) -> Bound:
-    if metric == "caratheodory":
-        return caratheodory_metric(d, x, v)
-    if metric == "kobayashi":
-        return kobayashi_metric(d, x, v)
-    raise ArgumentError(f"unknown metric {metric!r}")
-
-
 def verify_metric_contraction(
     X: Domain,
     U: Domain,
@@ -249,24 +230,28 @@ def verify_metric_contraction(
 ) -> VerificationReport:
     """Check E_X(x, v) <= k E_U(x, v) at sampled (x, v) with x in U.
 
-    With exact values on both sides, verdicts are definitive; with bounds,
-    a failed conservative comparison is inconclusive, never a violation.
+    One metric_field eval per side covers every sample, tagged as the
+    pointwise metrics tag one.  With exact values on both sides, verdicts
+    are definitive; with bounds, a failed conservative comparison is
+    inconclusive, never a violation.
     """
     if not (0 < k < 1):
         raise ArgumentError("k must be in (0, 1)")
+    field_X, field_U = metric_field(X, metric), metric_field(U, metric)
     Z = sample(U, samples, seed)
     if isinstance(U, Polydisc):
         # the analytic worst case sits at the center
         Z = np.concatenate([U.centers[None], Z])
+    _raise_outside(X, Z, ~X.contains_many(Z))
     dirs = _sphere_directions(U.dim, 4 * U.dim + 8, seed + 1)
+    V = dirs[np.arange(len(Z)) % len(dirs)]
+    rows = zip(map(tuple, Z.tolist()), V, field_X.eval(Z, V).tolist(), field_U.eval(Z, V).tolist())
     n_h = n_i = n_v = 0
     max_ratio = None
     argmax = None
     records = []
-    for idx, x in enumerate(map(tuple, Z.tolist())):
-        v = dirs[idx % len(dirs)]
-        outer = _metric_bound(metric, X, x, v)
-        inner = _metric_bound(metric, U, x, v)
+    for x, v, value_X, value_U in rows:
+        outer, inner = field_X.bound(value_X), field_U.bound(value_U)
         exact_pair = outer.kind == EXACT and inner.kind == EXACT
         ratio = None
         if exact_pair and inner.value > 0:

@@ -12,6 +12,7 @@ the samples.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -41,16 +42,6 @@ _BLOCK_POINTS = 2**16
 _RAY_STEPS = 64
 
 
-def _finite_complex(values) -> tuple:
-    out = []
-    for c in values:
-        c = complex(c)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ArgumentError("coordinates must be finite")
-        out.append(c)
-    return tuple(out)
-
-
 @dataclasses.dataclass(frozen=True)
 class Point:
     """A point of C^n, n >= 1."""
@@ -60,7 +51,9 @@ class Point:
     def __init__(self, coords):
         if isinstance(coords, (int, float, complex)):
             coords = (coords,)
-        coords = _finite_complex(coords)
+        coords = tuple(map(complex, coords))
+        if not all(map(cmath.isfinite, coords)):
+            raise ArgumentError("coordinates must be finite")
         if len(coords) < 1:
             raise ArgumentError("a point needs at least one coordinate")
         object.__setattr__(self, "coords", coords)
@@ -79,13 +72,29 @@ def as_point(p) -> Point:
     return Point(p)
 
 
+def _point_rows(points, dim: Optional[int] = None) -> np.ndarray:
+    """The points, each a Point, a number, or a sequence or 1-D array of
+    coordinates, as the rows of a (k, n) complex array.  Raises
+    ArgumentError on a non-finite coordinate, on points of different
+    dimensions, and unless n == dim when dim is given."""
+    try:
+        Z = np.array(
+            [p.coords if isinstance(p, Point) else np.atleast_1d(p) for p in points],
+            dtype=complex,
+        )
+    except (TypeError, ValueError):
+        Z = np.empty(0)
+    if Z.ndim != 2 or Z.shape[1] < 1:
+        raise ArgumentError("points must be coordinates of one dimension")
+    if dim is not None and Z.shape[1] != dim:
+        raise ArgumentError(f"expected {dim} coordinates, got {Z.shape[1]}")
+    if not np.isfinite(Z).all():
+        raise ArgumentError("coordinates must be finite")
+    return Z
+
+
 def as_vector(v, n: int) -> np.ndarray:
-    if isinstance(v, (int, float, complex)):
-        v = (v,)
-    arr = np.array(_finite_complex(v), dtype=complex)
-    if arr.shape != (n,):
-        raise ArgumentError(f"vector must have {n} components")
-    return arr
+    return _point_rows([v], n)[0]
 
 
 class Domain:
@@ -129,13 +138,9 @@ class Domain:
             math.sqrt(((b[:, 1] - b[:, 0]) ** 2 + (b[:, 3] - b[:, 2]) ** 2).sum())
         )
 
-    def _check_point(self, p) -> Point:
-        p = as_point(p)
-        if p.dim != self.dim:
-            raise ArgumentError(
-                f"point has dimension {p.dim}, domain has dimension {self.dim}"
-            )
-        return p
+    def _rows(self, *points) -> np.ndarray:
+        """The points as the rows of a (k, dim) complex array; see _point_rows."""
+        return _point_rows(points, self.dim)
 
     def _check_rows(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
@@ -151,9 +156,9 @@ class Polydisc(Domain):
     """Product of coordinate disks |z_j - c_j| < rho_j."""
 
     def __init__(self, centers: Sequence[complex], radii: Sequence[float]):
-        self.centers = np.array(_finite_complex(centers), dtype=complex)
+        self.centers = _point_rows([centers])[0]
         self.radii = np.array([float(r) for r in radii], dtype=float)
-        if self.centers.shape != self.radii.shape or self.centers.size < 1:
+        if self.centers.shape != self.radii.shape:
             raise ArgumentError("centers and radii must have equal positive length")
         if not np.all(self.radii > 0):
             raise ArgumentError("radii must be strictly positive")
@@ -163,14 +168,14 @@ class Polydisc(Domain):
         return f"Polydisc(centers={list(self.centers)}, radii={list(self.radii)})"
 
     def contains(self, p) -> bool:
-        return bool(self.contains_many(self._check_point(p).as_array()[None])[0])
+        return bool(self.contains_many(self._rows(p))[0])
 
     def contains_many(self, Z) -> np.ndarray:
         Z = self._check_rows(Z)
         return np.all(np.abs(Z - self.centers) < self.radii, axis=1)
 
     def boundary_distance(self, p) -> float:
-        return float(self.boundary_distance_many(self._check_point(p).as_array()[None])[0])
+        return float(self.boundary_distance_many(self._rows(p))[0])
 
     def boundary_distance_many(self, Z) -> np.ndarray:
         Z = self._check_rows(Z)
@@ -252,7 +257,7 @@ class SemiAnalytic(Domain):
         return f"SemiAnalytic({len(self.constraints)} constraints, dim={self.dim})"
 
     def contains(self, p) -> bool:
-        return bool(self.contains_many(self._check_point(p).as_array()[None])[0])
+        return bool(self.contains_many(self._rows(p))[0])
 
     def contains_many(self, Z) -> np.ndarray:
         """Box test first; each constraint is evaluated only on the rows that
@@ -307,8 +312,7 @@ class SemiAnalytic(Domain):
         return exits
 
     def boundary_distance(self, p, directions: int = 32) -> float:
-        row = self._check_point(p).as_array()[None]
-        return float(self.boundary_distance_many(row, directions)[0])
+        return float(self.boundary_distance_many(self._rows(p), directions)[0])
 
     def boundary_distance_many(self, Z, directions: int = 32) -> np.ndarray:
         """The smaller of the box gap and the shortest exit over `directions`
@@ -345,6 +349,13 @@ def _raise_outside(d: Domain, Z: np.ndarray, outside: np.ndarray) -> None:
     if outside.any():
         z = tuple(complex(c) for c in Z[np.argmax(outside)])
         raise MembershipError(f"point {z} is not in {d!r}")
+
+
+def _rows_in(d: Domain, *points) -> np.ndarray:
+    """d._rows(*points), raising MembershipError unless every point is in d."""
+    Z = d._rows(*points)
+    _raise_outside(d, Z, ~d.contains_many(Z))
+    return Z
 
 
 def domain_from_json(data: dict) -> Domain:

@@ -18,7 +18,7 @@ import numpy as np
 from .domains import (
     Domain,
     Point,
-    as_point,
+    _point_rows,
     as_vector,
     sample,
 )
@@ -310,18 +310,12 @@ class HoloMap:
         return out
 
     def eval(self, p) -> Point:
-        p = as_point(p)
-        if p.dim != self.n:
-            raise ArgumentError(f"map expects dimension {self.n}, got {p.dim}")
-        return Point(self.eval_array(p.as_array()))
+        return Point(self.eval_array(_point_rows([p], self.n)[0]))
 
     def jvp(self, p, v) -> np.ndarray:
         """Directional derivative f'(p)·v via dual-number propagation."""
-        p = as_point(p)
-        if p.dim != self.n:
-            raise ArgumentError(f"map expects dimension {self.n}, got {p.dim}")
+        z = _point_rows([p], self.n)[0]
         varr = as_vector(v, self.n)
-        z = p.as_array()
         return np.array(
             [c.eval_dual(z, varr)[1] for c in self.components], dtype=complex
         )

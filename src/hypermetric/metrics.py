@@ -23,11 +23,11 @@ from .domains import (
     SemiAnalytic,
     _BLOCK_POINTS,
     _anchor_of,
+    _point_rows,
     _row_norms,
+    _rows_in,
     _sphere_directions,
-    as_point,
     as_vector,
-    contains,
     sample,
 )
 from .errors import (
@@ -96,6 +96,15 @@ def poincare_distance(z: complex, w: complex) -> float:
     if ratio >= 1.0:  # rounding at extreme eccentricity
         ratio = math.nextafter(1.0, 0.0)
     return math.atanh(ratio)
+
+
+def _poincare(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Elementwise Poincaré distance of z and w, broadcast together:
+    atanh |(z - w) / (1 - conj(w) z)|, the quotient capped below 1 at
+    1 - 1e-16, and 0 where |z| >= 1 or |w| >= 1."""
+    inside = np.maximum(np.abs(z), np.abs(w)) < 1
+    q = np.divide(z - w, 1 - np.conj(w) * z, out=np.zeros(inside.shape, complex), where=inside)
+    return np.arctanh(np.minimum(np.abs(q), 1 - 1e-16))
 
 
 def poincare_metric(z: complex, v: complex) -> float:
@@ -167,6 +176,15 @@ def _competitors_for(d: SemiAnalytic, directions: int, seed: int) -> _Competitor
     return cache[key]
 
 
+def _disk_images(d: Domain, Z: np.ndarray, directions: int, seed: int) -> np.ndarray:
+    """Images of the N rows of Z under maps of d into the unit disk, as an
+    (N, K) array: the normalized coordinates of a polydisc, or the
+    competitors of a semi-analytic domain."""
+    if isinstance(d, Polydisc):
+        return (Z - d.centers) / d.radii
+    return _competitors_for(d, directions, seed).eval(Z, np.zeros_like(Z))[0]
+
+
 # ---------------------------------------------------------------------------
 # pointwise metrics
 
@@ -183,15 +201,10 @@ def caratheodory_metric(
     Exact on polydiscs; a certified lower bound (finite competitor family)
     on semi-analytic domains.
     """
-    x = as_point(x)
-    if not contains(d, x):
-        raise MembershipError(f"point {x.coords} is not in the domain")
-    varr = as_vector(v, d.dim)
+    Z = _rows_in(d, x)
+    V = as_vector(v, d.dim)[None]
     field = metric_field(d, "caratheodory", directions=directions, seed=seed)
-    value = float(field.eval(x.as_array()[None], varr[None])[0])
-    if field.kind == EXACT:
-        return Bound(value, EXACT)
-    return Bound(value, LOWER, tol=1e-12 * (1 + value))
+    return field.bound(float(field.eval(Z, V)[0]))
 
 
 _ZETA_RADII = (0.25, 0.5, 0.75, 0.9, 0.97, 0.995, 0.9995)
@@ -251,17 +264,12 @@ def kobayashi_metric(d: Domain, x, v, tol: float = 1e-6) -> Bound:
     On semi-analytic domains, an upper bound from the largest affine analytic
     disk through x in direction v.
     """
-    x = as_point(x)
-    if not contains(d, x):
-        raise MembershipError(f"point {x.coords} is not in the domain")
+    Z = _rows_in(d, x)
     varr = as_vector(v, d.dim)
     if float(np.linalg.norm(varr)) == 0.0:
         return Bound(0.0, EXACT)
     field = metric_field(d, "kobayashi", tol=tol)
-    best = float(field.eval(x.as_array()[None], varr[None])[0])
-    if field.kind == EXACT:
-        return Bound(best, EXACT)
-    return Bound(best, UPPER, tol=tol * best)
+    return field.bound(float(field.eval(Z, varr[None])[0]))
 
 
 def caratheodory_distance(
@@ -271,28 +279,13 @@ def caratheodory_distance(
     directions: int = DEFAULT_DIRECTIONS,
     seed: int = 0,
 ) -> Bound:
-    """Supremum of the Poincaré distance of images under maps into the disk."""
-    a, b = as_point(a), as_point(b)
-    if not (contains(d, a) and contains(d, b)):
-        raise MembershipError("both points must lie in the domain")
-    za, zb = a.as_array(), b.as_array()
-    if isinstance(d, Polydisc):
-        vals = [
-            poincare_distance(
-                (za[j] - d.centers[j]) / d.radii[j],
-                (zb[j] - d.centers[j]) / d.radii[j],
-            )
-            for j in range(d.dim)
-        ]
-        return Bound(max(vals), EXACT)
-    Z = np.stack([za, zb])
-    w, _ = _competitors_for(d, directions, seed).eval(Z, np.zeros_like(Z))
-    best = 0.0
-    for wa, wb in w.T.tolist():
-        if abs(wa) >= 1 or abs(wb) >= 1:
-            continue
-        best = max(best, poincare_distance(wa, wb))
-    return Bound(best, LOWER, tol=1e-12 * (1 + best))
+    """Supremum of the Poincaré distance of images under maps into the disk:
+    exact on polydiscs, a lower bound (the competitors) otherwise.  Images
+    and formula are caratheodory_diameter's, pair for pair."""
+    Z = _rows_in(d, a, b)
+    W = _disk_images(d, Z, directions, seed)
+    field = metric_field(d, "caratheodory", directions=directions, seed=seed)
+    return field.bound(float(_poincare(W[0], W[1]).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +302,10 @@ class MetricField:
 
     def eval(self, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
         """E at the N rows of Z along the N rows of V, both of shape (N, n)."""
+        raise NotImplementedError
+
+    def bound(self, value: float) -> Bound:
+        """One value of eval, tagged by how it relates to the true metric."""
         raise NotImplementedError
 
 
@@ -328,6 +325,9 @@ class PolydiscModelField(MetricField):
         if np.any(den <= 0):
             raise MembershipError("point is not in the polydisc")
         return (self.radii * np.abs(V) / den).max(axis=1)
+
+    def bound(self, value):
+        return Bound(value, EXACT)
 
 
 class CompetitorMetricField(MetricField):
@@ -357,6 +357,9 @@ class CompetitorMetricField(MetricField):
             out[rows] = rate.max(axis=1, initial=0.0)
         return out
 
+    def bound(self, value):
+        return Bound(value, LOWER, tol=1e-12 * (1 + value))
+
 
 class AnalyticDiskField(MetricField):
     """Upper-bound Kobayashi metric on a semi-analytic domain."""
@@ -379,6 +382,9 @@ class AnalyticDiskField(MetricField):
         out[rows] = vnorm[rows] / rho
         return out
 
+    def bound(self, value):
+        return Bound(value, UPPER, tol=self.tol * value)
+
 
 def metric_field(d: Domain, metric: str = "caratheodory", **opts) -> MetricField:
     if metric not in ("caratheodory", "kobayashi"):
@@ -394,23 +400,21 @@ def metric_field(d: Domain, metric: str = "caratheodory", **opts) -> MetricField
 # path length and integrated distance
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Polyline:
-    """Piecewise-linear path; per-segment Gauss-Legendre quadrature order."""
+    """Piecewise-linear path through the rows of an (m, n) vertex array, with
+    a per-segment Gauss-Legendre order; compared by identity."""
 
-    vertices: tuple
+    vertices: np.ndarray
     order: int = DEFAULT_QUAD_ORDER
 
     def __init__(self, vertices, order: int = DEFAULT_QUAD_ORDER):
-        verts = tuple(as_point(p) for p in vertices)
-        for p, q in zip(verts, verts[1:]):
-            if p.coords == q.coords:
-                raise ArgumentError("consecutive polyline vertices must be distinct")
+        verts = _point_rows(vertices)
+        if (verts[1:] == verts[:-1]).all(axis=1).any():
+            raise ArgumentError("consecutive polyline vertices must be distinct")
+        verts.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "order", int(order))
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([p.as_array() for p in self.vertices], dtype=complex)
 
 
 @functools.lru_cache(maxsize=16)
@@ -441,7 +445,7 @@ def _refined_length(field: MetricField, verts: np.ndarray, order: int) -> tuple:
 
 def path_length(field: MetricField, polyline: Polyline) -> Bound:
     """Metric length of a polyline by per-segment Gauss-Legendre quadrature."""
-    verts = polyline.as_matrix()
+    verts = field.domain._rows(*polyline.vertices)
     value, qtol = _refined_length(field, verts, polyline.order)
     if math.isinf(value):
         raise PathInvalidError("a quadrature node escapes the domain")
@@ -627,10 +631,7 @@ def integrated_distance(
     Carathéodory metric and the Kobayashi pseudodistance when fed the
     Kobayashi metric.
     """
-    a, b = as_point(a), as_point(b)
-    if not (contains(d, a) and contains(d, b)):
-        raise MembershipError("both endpoints must lie in the domain")
-    za, zb = a.as_array(), b.as_array()
+    za, zb = _rows_in(d, a, b)
     if np.array_equal(za, zb):
         return Bound(0.0, UPPER, 0.0)
     verts = _seed_polyline(field, d, za, zb, segments, seed)

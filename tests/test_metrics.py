@@ -14,7 +14,7 @@ from hypermetric.domains import (
     sample,
     unit_disk,
 )
-from hypermetric.errors import MembershipError, PathInvalidError
+from hypermetric.errors import ArgumentError, MembershipError, PathInvalidError
 from hypermetric.holomap import parse
 from hypermetric.metrics import (
     DEFAULT_DIRECTIONS,
@@ -241,6 +241,16 @@ class TestPathLength:
         with pytest.raises(PathInvalidError):
             path_length(field, Polyline([1.5, 2.0]))
 
+    def test_vertices_form_one_array(self):
+        assert Polyline([0, 0.5j]).vertices.tolist() == [[0j], [0.5j]]
+        with pytest.raises(ArgumentError):
+            Polyline([0, (0.1, 0.2)])
+
+    def test_dimension_mismatch_rejected(self):
+        field = metric_field(Polydisc([0, 0], [1, 1]))
+        with pytest.raises(ArgumentError):
+            path_length(field, Polyline([0.1, 0.2]))
+
     @pytest.mark.parametrize("metric", ["caratheodory", "kobayashi"])
     def test_batched_lengths_match_node_loop(self, metric):
         # reference: one membership test and one field evaluation per node,
@@ -283,6 +293,26 @@ class TestPathLength:
         field = metric_field(sd, "caratheodory")
         got = path_length(field, Polyline([0, 0.4], order=8))
         assert got.kind == LOWER and got.caveat
+
+
+# every pointwise entry point, with the point under test as its last argument
+POINTWISE = {
+    "caratheodory_metric": lambda d, z: caratheodory_metric(d, z, 1),
+    "kobayashi_metric": lambda d, z: kobayashi_metric(d, z, 1),
+    "caratheodory_distance": lambda d, z: caratheodory_distance(d, 0, z),
+    "integrated_distance": lambda d, z: integrated_distance(metric_field(d), d, 0, z),
+}
+
+
+@pytest.mark.parametrize("call", POINTWISE.values(), ids=POINTWISE.keys())
+@pytest.mark.parametrize("d", [unit_disk(), MOEBIUS_DISK], ids=["polydisc", "semianalytic"])
+def test_point_intake(d, call):
+    with pytest.raises(ArgumentError):
+        call(d, float("nan"))
+    with pytest.raises(ArgumentError):
+        call(d, (0.1, 0.2))
+    with pytest.raises(MembershipError):
+        call(d, 1.5)
 
 
 class TestIntegratedDistance:
