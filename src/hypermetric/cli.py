@@ -17,6 +17,7 @@ from typing import Optional
 from . import __version__
 from .contraction import (
     DILATION,
+    caratheodory_diameter,
     certificate_for,
     verify_metric_contraction,
 )
@@ -237,8 +238,6 @@ def _dispatch(args) -> tuple:
         return cfg, integrated_distance(field, d, a, b, seed=cfg["seed"]).to_json()
     if cmd == "diameter":
         cfg = _resolve(args, file_cfg, ["X", "U", "seed", "samples"])
-        from .contraction import caratheodory_diameter
-
         X = _domain_of(cfg, "X")
         U = _domain_of(cfg, "U")
         M = caratheodory_diameter(X, U, samples=cfg["samples"], seed=cfg["seed"])

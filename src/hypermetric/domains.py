@@ -12,7 +12,6 @@ the samples.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 import math
@@ -49,14 +48,7 @@ class Point:
     coords: tuple
 
     def __init__(self, coords):
-        if isinstance(coords, (int, float, complex)):
-            coords = (coords,)
-        coords = tuple(map(complex, coords))
-        if not all(map(cmath.isfinite, coords)):
-            raise ArgumentError("coordinates must be finite")
-        if len(coords) < 1:
-            raise ArgumentError("a point needs at least one coordinate")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(_point_rows([coords])[0].tolist()))
 
     @property
     def dim(self) -> int:
@@ -64,12 +56,6 @@ class Point:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.coords, dtype=complex)
-
-
-def as_point(p) -> Point:
-    if isinstance(p, Point):
-        return p
-    return Point(p)
 
 
 def _point_rows(points, dim: Optional[int] = None) -> np.ndarray:
@@ -160,8 +146,8 @@ class Polydisc(Domain):
         self.radii = np.array([float(r) for r in radii], dtype=float)
         if self.centers.shape != self.radii.shape:
             raise ArgumentError("centers and radii must have equal positive length")
-        if not np.all(self.radii > 0):
-            raise ArgumentError("radii must be strictly positive")
+        if not np.all((self.radii > 0) & (self.radii < math.inf)):
+            raise ArgumentError("radii must be positive and finite")
         self.dim = self.centers.size
 
     def __repr__(self):
@@ -607,7 +593,6 @@ __all__ = [
     "Polydisc",
     "SemiAnalytic",
     "unit_disk",
-    "as_point",
     "as_vector",
     "contains",
     "boundary_distance",

@@ -22,7 +22,7 @@ from .contraction import (
     ContractionCertificate,
     certificate_for,
 )
-from .domains import Domain, Point, Polydisc, as_point, contains
+from .domains import Domain, Point, Polydisc, _rows_in
 from .errors import (
     ArgumentError,
     ConfigurationError,
@@ -60,11 +60,15 @@ def invariant_distance_upper(X: Domain, a, b, seed: int = 0) -> Bound:
     return integrated_distance(field, X, a, b, seed=seed)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """The full Picard history with the certificate that bounds its decay."""
+    """The full Picard history with the certificate that bounds its decay.
 
-    points: tuple
+    points holds the iterates x_0, ..., x_m as the rows of a read-only
+    (m + 1, n) complex array; the trace compares by identity.
+    """
+
+    points: np.ndarray
     step_euclid: tuple
     certificate: ContractionCertificate
     d0: Optional[Bound] = None
@@ -128,12 +132,16 @@ def picard_solve(
     Preconditions: f maps X into U with supported range evidence (or an
     explicit override), x0 lies in X, and a contraction certificate for the
     inclusion U in X is obtainable.
+
+    Raises ArgumentError if f is not a self-map of X or x0 is not X.dim
+    finite coordinates, MembershipError if x0 is not in X, RangeError if the
+    range evidence is not supported and not overridden, PreconditionError if
+    an iterate leaves U, and NonConvergenceError, carrying the trace, if the
+    stopping rule has not fired within max_iter steps.
     """
-    x0 = as_point(x0)
     if f.n != X.dim or f.m != X.dim:
         raise ArgumentError("picard_solve needs a self-map of X")
-    if not contains(X, x0):
-        raise ArgumentError(f"starting point {x0.coords} is not in X")
+    x0 = _rows_in(X, x0)[0]
     evidence = range_check(f, X, U, samples=samples, seed=seed)
     if evidence.verdict != SUPPORTED and not override_range:
         raise RangeError(
@@ -144,68 +152,55 @@ def picard_solve(
         certificate = certificate_for(X, U, method=method, samples=samples, seed=seed)
     k = certificate.k
 
-    rows: List[np.ndarray] = [x0.as_array()]
+    rows: List[np.ndarray] = [x0]
     steps: List[float] = []
-    inv_steps: List[Bound] = []
-    d0: Optional[Bound] = None
+    # d_0, and with step_invariant every later d_n
+    dists: List[Bound] = []
     step_floor = tol * (1.0 - k) / k if k > 0 else tol
     stop_rule = ""
-    cur = rows[0]
-    converged = False
     for it in range(max_iter):
+        cur = rows[-1]
         nxt = f.eval_array(cur)
         # a non-finite iterate is outside U too
         if not U.contains_many(nxt[None])[0]:
             raise PreconditionError(
                 f"iterate {it + 1} left U; the range evidence was too optimistic"
             )
-        step = float(np.linalg.norm(nxt - cur))
         rows.append(nxt)
-        steps.append(step)
-        if d0 is None:
-            d0 = invariant_distance_upper(X, cur, nxt, seed=seed)
+        steps.append(float(np.linalg.norm(nxt - cur)))
+        if step_invariant or it == 0:
+            dists.append(invariant_distance_upper(X, cur, nxt, seed=seed))
         if step_invariant:
-            dn = (
-                d0
-                if it == 0
-                else invariant_distance_upper(X, cur, nxt, seed=seed)
-            )
-            inv_steps.append(dn)
-            tail = dn.value * k / (1.0 - k)
-            if tail < tol:
+            if dists[-1].value * k / (1.0 - k) < tol:
                 stop_rule = "certified invariant tail below tol"
-                cur = nxt
-                converged = True
                 break
-        elif step < step_floor:
+        elif steps[-1] < step_floor:
             stop_rule = "euclidean step below tol*(1-k)/k surrogate"
-            cur = nxt
-            converged = True
             break
-        cur = nxt
 
+    points = np.array(rows)
+    points.flags.writeable = False
     trace = IterationTrace(
-        points=tuple(Point(z) for z in rows),
+        points=points,
         step_euclid=tuple(steps),
         certificate=certificate,
-        d0=d0,
-        step_invariant=tuple(inv_steps) if step_invariant else None,
+        d0=dists[0] if dists else None,
+        step_invariant=tuple(dists) if step_invariant else None,
     )
-    if not converged:
+    if not stop_rule:
         raise NonConvergenceError(
             f"no convergence within {max_iter} iterations", trace=trace
         )
-    residual = float(np.linalg.norm(f.eval_array(cur) - cur))
-    n = len(rows) - 1
-    tail = certify_tail(trace, n) if d0 is not None else math.inf
+    residual = float(np.linalg.norm(f.eval_array(points[-1]) - points[-1]))
+    n = len(points) - 1
     if override_range and evidence.verdict != SUPPORTED:
         stop_rule += " (range evidence overridden)"
     return FixedPointResult(
-        c=trace.points[-1],
+        c=Point(points[-1]),
         residual=residual,
         iterations=n,
         certificate=certificate,
-        certified_tail=tail,
+        certified_tail=certify_tail(trace, n),
         trace=trace,
         range_evidence=evidence,
         stop_rule=stop_rule,
@@ -242,7 +237,8 @@ def verify_decay(
     """Check d_n <= k^n d_0 over the trace, comparing upper bounds both sides.
 
     Both sides of the comparison are upper bounds, so a failed check is
-    inconclusive rather than a violation.
+    inconclusive rather than a violation.  distance(a, b) is called on
+    consecutive rows of trace.points.
     """
     if len(trace.points) < 3:
         raise ArgumentError("verify_decay needs a trace with at least 3 points")
@@ -251,10 +247,7 @@ def verify_decay(
         if X is None:
             raise ConfigurationError("no distance evaluator and no domain on record")
         distance = lambda a, b: invariant_distance_upper(X, a, b)  # noqa: E731
-    ds = [
-        distance(a, b)
-        for a, b in zip(trace.points, trace.points[1:])
-    ]
+    ds = [distance(a, b) for a, b in zip(trace.points, trace.points[1:])]
     d0 = ds[0].value
     flags = []
     ratios = []
@@ -275,7 +268,7 @@ def verify_decay(
 
 def trace_to_csv(trace: IterationTrace, path: str) -> None:
     """Write iter, per-coordinate re/im, Euclidean step, certified tail."""
-    n = trace.points[0].dim
+    n = trace.points.shape[1]
     header = ["iter"]
     for j in range(n):
         header += [f"re{j}", f"im{j}"]
@@ -285,7 +278,7 @@ def trace_to_csv(trace: IterationTrace, path: str) -> None:
         writer.writerow(header)
         for i, p in enumerate(trace.points):
             row = [str(i)]
-            for z in p.coords:
+            for z in p.tolist():
                 row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
             step = trace.step_euclid[i - 1] if i >= 1 else 0.0
             try:

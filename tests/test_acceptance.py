@@ -137,7 +137,7 @@ def test_criterion_4_certified_decay():
     tail_margin = min(
         (
             certify_tail(trace, n)
-            - poincare_distance(trace.points[n].coords[0], converged)
+            - poincare_distance(trace.points[n, 0], converged)
             for n in range(1, len(trace))
         ),
         default=math.inf,

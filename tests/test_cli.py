@@ -278,19 +278,23 @@ class TestExitCodes:
         assert code == 1 and "usage error" in err
 
     def test_bad_domain_literal(self, capsys):
-        code, _, err = run_cli(
-            capsys, "metric", "--domain", "annulus:0,1,2", "--point", "0",
-            "--vector", "1", "--metric", "caratheodory",
-        )
-        assert code == 1
+        for domain in ("annulus:0,1,2", "disk:0,inf", "polydisc:0;inf"):
+            code, _, err = run_cli(
+                capsys, "metric", "--domain", domain, "--point", "0",
+                "--vector", "1", "--metric", "caratheodory",
+            )
+            assert code == 1, domain
 
     def test_precondition_error(self, capsys):
         # point outside the domain
-        code, _, err = run_cli(
-            capsys, "metric", "--domain", "disk:0,1", "--point", "2",
-            "--vector", "1", "--metric", "caratheodory",
-        )
-        assert code == 2
+        for argv in (
+            ["metric", "--domain", "disk:0,1", "--point", "2", "--vector", "1",
+             "--metric", "caratheodory"],
+            ["fixpoint", "--X", "disk:0,1", "--U", "disk:0,0.6", "--map", "z1/2",
+             "--x0", "2"],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
 
     def test_range_precondition(self, capsys):
         code, _, err = run_cli(

@@ -33,6 +33,7 @@ from hypermetric.errors import (
     InclusionError,
     MembershipError,
 )
+from hypermetric.fixedpoint import picard_solve
 from hypermetric.holomap import parse
 
 
@@ -98,6 +99,26 @@ class TestPoint:
     def test_rejects_empty(self):
         with pytest.raises(ArgumentError):
             Point([])
+
+    @pytest.mark.parametrize(
+        "coords", [[[1, 2], [3, 4]], "abc", [1, None]], ids=["nested", "text", "none"]
+    )
+    def test_rejects_malformed(self, coords):
+        with pytest.raises(ArgumentError):
+            Point(coords)
+
+    def test_picard_start_malformed(self):
+        with pytest.raises(ArgumentError):
+            picard_solve(parse("z1/2", 1), unit_disk(), Disk(0, 0.6), [[0.1]])
+
+
+class TestPolydisc:
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_radius(self, radius):
+        with pytest.raises(ArgumentError):
+            Polydisc([0, 0], [1.0, radius])
+        with pytest.raises(ArgumentError):
+            Disk(0, radius)
 
 
 class TestContains:

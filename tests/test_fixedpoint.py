@@ -86,7 +86,7 @@ class TestPicardSolve:
             picard_solve(f, X, U, 0.5, max_iter=3)
         trace = exc.value.trace
         assert len(trace) == 4
-        assert trace.points[1].coords[0] == pytest.approx(0.25)
+        assert trace.points[1, 0] == pytest.approx(0.25)
 
     def test_step_invariant_stop(self):
         f, X, U = halving_problem()
@@ -104,11 +104,22 @@ class TestPicardSolve:
         for c in roots[1:]:
             assert abs(c - roots[0]) < 2e-9
 
+    def test_iterates_form_one_array(self):
+        f = parse("(z1^2 + 1)/4; z1*z2/2", 2)
+        X, U = Polydisc([0, 0], [1, 1]), Polydisc([0, 0], [0.6, 0.6])
+        res = picard_solve(f, X, U, (0.1, 0.2j))
+        points = res.trace.points
+        assert points.shape == (res.iterations + 1, 2) and points.dtype == complex
+        assert not points.flags.writeable
+        assert res.c.coords == tuple(points[-1].tolist())
+        assert points[0].tolist() == [0.1, 0.2j]
+        assert res.trace == res.trace and res.trace != picard_solve(f, X, U, (0.1, 0.2j)).trace
+
     def test_trace_recomputable(self):
         f, X, U = halving_problem()
         res = picard_solve(f, X, U, 0.9)
         for a, b in zip(res.trace.points, res.trace.points[1:]):
-            assert f.eval(a).coords == b.coords
+            assert f.eval(a).coords == tuple(b.tolist())
 
 
 class TestCertifyTail:
@@ -145,7 +156,7 @@ class TestCertifyTail:
         res = picard_solve(f, X, U, 0.9)
         c = res.c.coords[0]
         for n in range(1, res.iterations + 1):
-            err = poincare_distance(res.trace.points[n].coords[0], c)
+            err = poincare_distance(res.trace.points[n, 0], c)
             assert certify_tail(res.trace, n) >= err - 1e-12
 
 

@@ -15,6 +15,7 @@ from hypermetric.domains import (
     unit_disk,
 )
 from hypermetric.errors import ArgumentError, MembershipError, PathInvalidError
+from hypermetric.fixedpoint import picard_solve
 from hypermetric.holomap import parse
 from hypermetric.metrics import (
     DEFAULT_DIRECTIONS,
@@ -301,6 +302,7 @@ POINTWISE = {
     "kobayashi_metric": lambda d, z: kobayashi_metric(d, z, 1),
     "caratheodory_distance": lambda d, z: caratheodory_distance(d, 0, z),
     "integrated_distance": lambda d, z: integrated_distance(metric_field(d), d, 0, z),
+    "picard_solve": lambda d, z: picard_solve(parse("z1/2", 1), d, Disk(0, 0.6), z),
 }
 
 
