@@ -63,6 +63,13 @@ def parse_complex_literal(text: str) -> complex:
         raise UsageError(f"cannot parse complex number {text!r}")
 
 
+def parse_real_literal(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"cannot parse real number {text!r}")
+
+
 def parse_point_literal(text: str) -> Point:
     return Point([parse_complex_literal(part) for part in text.split(",")])
 
@@ -79,13 +86,13 @@ def parse_domain_literal(text: str) -> Domain:
         parts = rest.split(",")
         if len(parts) != 2:
             raise UsageError("disk literal is disk:CENTER,RADIUS")
-        return Disk(parse_complex_literal(parts[0]), float(parts[1]))
+        return Disk(parse_complex_literal(parts[0]), parse_real_literal(parts[1]))
     if kind == "polydisc":
         halves = rest.split(";")
         if len(halves) != 2:
             raise UsageError("polydisc literal is polydisc:C1,..,Cn;R1,..,Rn")
         centers = [parse_complex_literal(p) for p in halves[0].split(",")]
-        radii = [float(p) for p in halves[1].split(",")]
+        radii = [parse_real_literal(p) for p in halves[1].split(",")]
         return Polydisc(centers, radii)
     raise UsageError(
         f"unknown domain kind {kind!r}; semianalytic domains need --config JSON"

@@ -68,7 +68,7 @@ def _point_rows(points, dim: Optional[int] = None) -> np.ndarray:
             [p.coords if isinstance(p, Point) else np.atleast_1d(p) for p in points],
             dtype=complex,
         )
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         Z = np.empty(0)
     if Z.ndim != 2 or Z.shape[1] < 1:
         raise ArgumentError("points must be coordinates of one dimension")
@@ -143,7 +143,10 @@ class Polydisc(Domain):
 
     def __init__(self, centers: Sequence[complex], radii: Sequence[float]):
         self.centers = _point_rows([centers])[0]
-        self.radii = np.array([float(r) for r in radii], dtype=float)
+        try:
+            self.radii = np.array([float(r) for r in radii], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ArgumentError("radii must be real numbers") from None
         if self.centers.shape != self.radii.shape:
             raise ArgumentError("centers and radii must have equal positive length")
         if not np.all((self.radii > 0) & (self.radii < math.inf)):

@@ -500,63 +500,70 @@ def _lengths_of(field: MetricField, stack: np.ndarray, order: int) -> np.ndarray
 def _relax_vertices(
     field: MetricField, verts: np.ndarray, idx: np.ndarray, order: int
 ) -> None:
-    """Parabolic coordinate steps on the mutually independent vertices idx.
+    """Gauss-Southwell parabolic steps on the mutually independent vertices idx.
 
     No vertex in idx neighbours another, so each local objective (the length
     of [left, vertex, right]) depends on one moving vertex only and all of
-    them are evaluated together: one batched call for the +/- probes of a
-    coordinate, one for the parabolic candidates.  Updates verts in place.
+    them are evaluated together.  Each of the 4 passes makes two batched
+    calls: one for the +/- h probes along all d = 2n real coordinates, one
+    for each coordinate's candidate step where it is useful (parabolic, or
+    downhill on one side).  A vertex then moves to its shortest candidate,
+    ties going to the lowest coordinate, if that strictly shortens its local
+    objective.  Updates verts in place.
 
-    The k = idx.size local polylines live in one (2k, 3, n) buffer of
-    [left, mid, right] rows: rows :k hold the + probes of a coordinate and
-    rows k: the - probes.  left and right are written once; each probe
-    writes only the mid column, and the candidates are the rows of the
-    vertices that move, with their own mid.
+    The k = idx.size local polylines live in one (2dk, 3, n) buffer of
+    [left, mid, right] rows, in (sign, coordinate, vertex) order: left and
+    right are written once and each pass writes only the mid column.  The
+    candidates are the + probe rows of the (coordinate, vertex) pairs that
+    have one, with their own mid.
     """
     n, k = verts.shape[1], idx.size
-    buf = np.empty((2 * k, 3, n), dtype=complex)
-    twice = np.concatenate([idx, idx])
-    buf[:, 0], buf[:, 2] = verts[twice - 1], verts[twice + 1]
-    mids = buf[:, 1]
+    d = 2 * n
+    buf = np.empty((2 * d * k, 3, n), dtype=complex)
+    ends = np.tile(idx, 2 * d)
+    buf[:, 0], buf[:, 2] = verts[ends - 1], verts[ends + 1]
 
     x = np.concatenate([verts[idx].real, verts[idx].imag], axis=1)
-    probes = np.concatenate([x, x])
-    np.add(x[:, :n], 1j * x[:, n:], out=mids[:k])
+    np.add(x[:, :n], 1j * x[:, n:], out=buf[:k, 1])
     f0 = _lengths_of(field, buf[:k], order)
     h = 0.25 * np.maximum(
         np.abs(verts[idx] - buf[:k, 0]).max(axis=1),
         np.abs(buf[:k, 2] - verts[idx]).max(axis=1),
     )
+    probes = np.empty((2, d, k, d))
+    axes, rows = np.arange(d), np.arange(k)
     for _pass in range(4):
-        signed = np.concatenate([h, -h])
-        for q in range(2 * n):
-            probes[:k] = x
-            probes[k:] = x
-            probes[:, q] += signed
-            np.add(probes[:, :n], 1j * probes[:, n:], out=mids)
-            f = _lengths_of(field, buf, order)
-            fp, fm = f[:k], f[k:]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                curv = fp - 2 * f0 + fm
-                parabolic = curv > 0
-                # fmin/fmax drop a nan step (from inf probes) in favour of the
-                # clip bound, as Python's min/max do with a nan second argument
-                step = np.where(
-                    parabolic,
-                    np.fmax(-3 * h, np.fmin(3 * h, 0.5 * h * (fm - fp) / curv)),
-                    np.where(fp < fm, h, -h),
-                )
-            moving = np.flatnonzero(parabolic | (fp < f0) | (fm < f0))
-            if moving.size == 0:
-                continue
-            xc = x[moving]
-            xc[:, q] += step[moving]
-            cand = buf[moving]
+        probes[:] = x
+        probes[0, axes, :, axes] += h
+        probes[1, axes, :, axes] -= h
+        flat = probes.reshape(-1, d)
+        np.add(flat[:, :n], 1j * flat[:, n:], out=buf[:, 1])
+        fp, fm = _lengths_of(field, buf, order).reshape(2, d, k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curv = fp - 2 * f0 + fm
+            parabolic = curv > 0
+            # fmin/fmax drop a nan step (from inf probes) in favour of the
+            # clip bound, as Python's min/max do with a nan second argument
+            step = np.where(
+                parabolic,
+                np.fmax(-3 * h, np.fmin(3 * h, 0.5 * h * (fm - fp) / curv)),
+                np.where(fp < fm, h, -h),
+            )
+        useful = np.flatnonzero(parabolic | (fp < f0) | (fm < f0))
+        if useful.size:
+            q, i = np.divmod(useful, k)
+            xc = x[i]
+            xc[np.arange(useful.size), q] += step.ravel()[useful]
+            cand = buf[useful]
             np.add(xc[:, :n], 1j * xc[:, n:], out=cand[:, 1])
-            fc = _lengths_of(field, cand, order)
-            better = fc < f0[moving]
-            x[moving[better]] = xc[better]
-            f0[moving[better]] = fc[better]
+            fc = np.full(d * k, math.inf)
+            fc[useful] = _lengths_of(field, cand, order)
+            fc = fc.reshape(d, k)
+            best = fc.argmin(axis=0)
+            fbest = fc[best, rows]
+            move = np.flatnonzero(fbest < f0)
+            x[move, best[move]] += step[best[move], move]
+            f0[move] = fbest[move]
         h = h * 0.35
     verts[idx] = x[:, :n] + 1j * x[:, n:]
 
@@ -568,16 +575,17 @@ def _coordinate_descent(
     max_sweeps: int,
     rel_tol: float,
 ) -> np.ndarray:
-    """Red-black sweeps of per-vertex parabolic coordinate steps until stagnation.
+    """Red-black sweeps of per-vertex Gauss-Southwell steps until stagnation.
 
     Each sweep relaxes the odd interior vertices, then the even ones.  The
     vertices of one colour do not neighbour each other, so their local
     objectives are independent and their probes go through the batched
-    kernel together.  Every vertex keeps its own step sizes and accepts a
-    candidate only if it strictly shortens its local objective; ties and
-    non-improving proposals keep the earlier iterate, so the result is
-    deterministic.  Sweeps stop once one shortens the polyline by no more
-    than rel_tol relative.
+    kernel together, two calls per pass (`_relax_vertices`).  Every vertex
+    keeps its own step size and, per pass, moves along the one coordinate
+    whose candidate is shortest, only if that strictly shortens its local
+    objective; ties go to the lowest coordinate and non-improving proposals
+    keep the earlier iterate, so the result is deterministic.  Sweeps stop
+    once one shortens the polyline by no more than rel_tol relative.
     """
     verts = verts.copy()
     interior = np.arange(1, verts.shape[0] - 1)

@@ -278,7 +278,9 @@ class TestExitCodes:
         assert code == 1 and "usage error" in err
 
     def test_bad_domain_literal(self, capsys):
-        for domain in ("annulus:0,1,2", "disk:0,inf", "polydisc:0;inf"):
+        for domain in (
+            "annulus:0,1,2", "disk:0,inf", "polydisc:0;inf", "disk:0,abc", "polydisc:0;abc",
+        ):
             code, _, err = run_cli(
                 capsys, "metric", "--domain", domain, "--point", "0",
                 "--vector", "1", "--metric", "caratheodory",

@@ -101,7 +101,9 @@ class TestPoint:
             Point([])
 
     @pytest.mark.parametrize(
-        "coords", [[[1, 2], [3, 4]], "abc", [1, None]], ids=["nested", "text", "none"]
+        "coords",
+        [[[1, 2], [3, 4]], "abc", [1, None], 10**400],
+        ids=["nested", "text", "none", "overflow"],
     )
     def test_rejects_malformed(self, coords):
         with pytest.raises(ArgumentError):
@@ -113,7 +115,10 @@ class TestPoint:
 
 
 class TestPolydisc:
-    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "radius",
+        [math.inf, math.nan, 0.0, -1.0, "abc", None, 1j, pytest.param(10**400, id="overflow")],
+    )
     def test_rejects_radius(self, radius):
         with pytest.raises(ArgumentError):
             Polydisc([0, 0], [1.0, radius])
