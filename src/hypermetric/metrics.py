@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -48,6 +49,16 @@ OPT_REL_TOL = 1e-6
 DEFAULT_SEGMENTS = 8
 DEFAULT_REFINEMENTS = 4
 DEFAULT_DIRECTIONS = 64
+# Hooke & Jeeves pattern move: after each sweep of a descent level but the
+# first, the polyline is also measured at verts + beta * (verts - prev); beta
+# = 0 is the sweep's own result
+PATTERN_STEPS = np.array([0.0, 1.0, 3.0, 9.0, 27.0])
+# the fractions of the way to the midpoint of its neighbours that a vertex
+# tries after each sweep but a level's first
+MIDPOINT_STEPS = np.array([0.1, 0.3, 1.0])
+# on every descent level but the last, sweeps also stop once one gains at
+# most this fraction of the level's first-sweep gain
+COARSE_GAIN_FRAC = 3e-4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -400,6 +411,13 @@ def metric_field(d: Domain, metric: str = "caratheodory", **opts) -> MetricField
 # path length and integrated distance
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int; ArgumentError unless it is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Polyline:
     """Piecewise-linear path through the rows of an (m, n) vertex array, with
@@ -414,7 +432,7 @@ class Polyline:
             raise ArgumentError("consecutive polyline vertices must be distinct")
         verts.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "order", int(order))
+        object.__setattr__(self, "order", _count("order", order, 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -568,14 +586,41 @@ def _relax_vertices(
     verts[idx] = x[:, :n] + 1j * x[:, n:]
 
 
+def _midpoint_moves(
+    field: MetricField, verts: np.ndarray, idx: np.ndarray, order: int
+) -> None:
+    """Joint steps of the mutually independent vertices idx toward the
+    midpoints of their neighbours.
+
+    A vertex moves by the shortest of MIDPOINT_STEPS, ties going to the
+    smallest, if that strictly shortens its local objective; one batched call
+    measures all of them.  Such a step moves every coordinate at once, so it
+    shortens a polydisc polyline at a kink, where two coordinate metrics tie
+    for the max on both of a vertex's segments and every one-coordinate step
+    of `_relax_vertices` lengthens one of them.  Updates verts in place.
+    """
+    n, k = verts.shape[1], idx.size
+    left, mid, right = verts[idx - 1], verts[idx], verts[idx + 1]
+    buf = np.empty((MIDPOINT_STEPS.size + 1, k, 3, n), dtype=complex)
+    buf[:, :, 0], buf[:, :, 2] = left, right
+    buf[0, :, 1] = mid
+    buf[1:, :, 1] = mid + MIDPOINT_STEPS[:, None, None] * (0.5 * (left + right) - mid)
+    f = _lengths_of(field, buf.reshape(-1, 3, n), order).reshape(-1, k)
+    best = f.argmin(axis=0)
+    move = np.flatnonzero(f[best, np.arange(k)] < f[0])
+    verts[idx[move]] = buf[best[move], move, 1]
+
+
 def _coordinate_descent(
     field: MetricField,
     verts: np.ndarray,
     order: int,
     max_sweeps: int,
     rel_tol: float,
+    coarse: bool = False,
 ) -> np.ndarray:
-    """Red-black sweeps of per-vertex Gauss-Southwell steps until stagnation.
+    """Red-black sweeps of per-vertex Gauss-Southwell steps, then joint
+    midpoint steps and a pattern move, until stagnation.
 
     Each sweep relaxes the odd interior vertices, then the even ones.  The
     vertices of one colour do not neighbour each other, so their local
@@ -584,19 +629,43 @@ def _coordinate_descent(
     keeps its own step size and, per pass, moves along the one coordinate
     whose candidate is shortest, only if that strictly shortens its local
     objective; ties go to the lowest coordinate and non-improving proposals
-    keep the earlier iterate, so the result is deterministic.  Sweeps stop
-    once one shortens the polyline by no more than rel_tol relative.
+    keep the earlier iterate, so the result is deterministic.
+
+    From the second sweep of a level on, the sweep then tries each colour's
+    joint steps toward the neighbours' midpoints (`_midpoint_moves`), and
+    one batched call measures the pattern move of Hooke & Jeeves: the
+    polyline at verts + beta * (verts - prev) for each beta in
+    PATTERN_STEPS, prev being the polyline before the sweep.  Vertex steps
+    converge slowly along the polyline's smooth modes, which the pattern
+    move extrapolates.  The shortest trial is kept, the sweep's own result
+    (beta = 0) on a tie.  The first sweep of a level, which mostly places
+    the midpoints of a subdivision, takes neither.
+
+    Sweeps stop once one shortens the polyline by no more than rel_tol
+    relative, or, if coarse, by no more than COARSE_GAIN_FRAC times the
+    first sweep's gain.
     """
     verts = verts.copy()
     interior = np.arange(1, verts.shape[0] - 1)
     colours = [c for c in (interior[0::2], interior[1::2]) if c.size]
     total = _lengths_of(field, verts[None], order)[0]
-    for _ in range(max_sweeps):
-        before = total
+    for sweep in range(max_sweeps):
+        before, prev = total, verts.copy()
         for idx in colours:
             _relax_vertices(field, verts, idx, order)
-        total = _lengths_of(field, verts[None], order)[0]
-        if before - total <= rel_tol * max(1e-30, total):
+        if sweep == 0:
+            total = _lengths_of(field, verts[None], order)[0]
+            first_gain = before - total
+        else:
+            for idx in colours:
+                _midpoint_moves(field, verts, idx, order)
+            trials = verts + PATTERN_STEPS[:, None, None] * (verts - prev)
+            lengths = _lengths_of(field, trials, order)
+            best = lengths.argmin()
+            verts, total = trials[best], lengths[best]
+        if before - total <= rel_tol * max(1e-30, total) or (
+            coarse and before - total <= COARSE_GAIN_FRAC * first_gain
+        ):
             break
     return verts
 
@@ -634,11 +703,18 @@ def integrated_distance(
 ) -> Bound:
     """Infimum of path lengths, approximated from above by polyline descent.
 
-    Coordinate descent on interior vertices with successive vertex doubling;
-    yields the integrated Carathéodory pseudodistance when fed the
-    Carathéodory metric and the Kobayashi pseudodistance when fed the
-    Kobayashi metric.
+    Descent on the interior vertices of a `segments`-segment seed polyline,
+    then on each of `refinements` successive vertex doublings, until one
+    doubling gains at most rel_tol relative (`_coordinate_descent`).  Each
+    level stops its sweeps once one gains at most 0.05 * rel_tol relative,
+    and every level but the last also once one gains at most
+    COARSE_GAIN_FRAC times its first sweep's gain.  Yields the integrated
+    Carathéodory pseudodistance when fed the Carathéodory metric and the
+    Kobayashi pseudodistance when fed the Kobayashi metric.  Raises
+    ArgumentError unless segments >= 1 and refinements >= 0 are integers.
     """
+    segments = _count("segments", segments, 1)
+    refinements = _count("refinements", refinements, 0)
     za, zb = _rows_in(d, a, b)
     if np.array_equal(za, zb):
         return Bound(0.0, UPPER, 0.0)
@@ -650,7 +726,12 @@ def integrated_distance(
         # sweeps stop on a much finer tolerance than the caller's so that the
         # per-sweep improvements can accumulate down to rel_tol overall
         verts = _coordinate_descent(
-            field, verts, opt_order, max_sweeps=24, rel_tol=0.05 * rel_tol
+            field,
+            verts,
+            opt_order,
+            max_sweeps=24,
+            rel_tol=0.05 * rel_tol,
+            coarse=round_idx < refinements,
         )
         cur, qtol = _refined_length(field, verts, DEFAULT_QUAD_ORDER)
         last_improvement = best - cur
