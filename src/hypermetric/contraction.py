@@ -3,7 +3,7 @@
 Two routes with different rigor:
 
 * tanh of the invariant diameter of U inside X.  Rigorous only when the
-  diameter is exact (concentric polydiscs); a sampled diameter is a lower
+  diameter is exact (nested polydiscs); a sampled diameter is a lower
   bound, so the resulting constant may be understated and the certificate
   is flagged heuristic.
 * the gap dilation 1 / (1 + r/R) from a Euclidean diameter upper bound R
@@ -87,19 +87,18 @@ def caratheodory_diameter(
 ) -> Bound:
     """Diameter of U for the Carathéodory pseudodistance of X.
 
-    Exact for concentric nested polydiscs (antipodal boundary pairs are
-    extremal coordinatewise); otherwise a lower bound, equal to the max of
-    caratheodory_distance over the ordered pairs of sampled boundary-biased
-    points of U: all pairs of one image column at a time.
+    Exact for nested polydiscs: in coordinate j, U's disk is the disk of
+    centre c_j and radius rho_j of X's unit disk, whose Poincaré diameter is
+    artanh(2 rho_j / (1 - |c_j|^2 + rho_j^2)), taken between the points
+    nearest to and farthest from X's centre.  Otherwise a lower bound, equal
+    to the max of caratheodory_distance over the ordered pairs of sampled
+    boundary-biased points of U: all pairs of one image column at a time.
     """
     inner_gap(U, X, samples=samples, seed=seed)  # probes relative compactness
-    if (
-        isinstance(X, Polydisc)
-        and isinstance(U, Polydisc)
-        and np.allclose(X.centers, U.centers)
-    ):
-        ratios = U.radii / X.radii
-        return Bound(float(2 * np.arctanh(ratios).max()), EXACT)
+    if isinstance(X, Polydisc) and isinstance(U, Polydisc):
+        c = np.abs(U.centers - X.centers) / X.radii
+        rho = U.radii / X.radii
+        return Bound(float(np.arctanh(2 * rho / (1 - c**2 + rho**2)).max()), EXACT)
     Z = np.concatenate([sample(U, samples, seed), _extremal_probes(U, seed)])
     best = 0.0
     for w in _disk_images(X, Z, DEFAULT_DIRECTIONS, 0).T:

@@ -300,6 +300,19 @@ class SemiAnalytic(Domain):
         exits[rays] = lo
         return exits
 
+    def _shortest_exits(self, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """For each row i of Z (N, n), the smallest _ray_exit from Z[i] over
+        the K unit directions D[i] of the (N, K, n) array D.  Rows go through
+        in blocks so that one march tests at most _BLOCK_POINTS points."""
+        K = D.shape[1]
+        step = max(1, _BLOCK_POINTS // (K * (_RAY_STEPS + 2)))
+        out = np.empty(len(Z))
+        for start in range(0, len(Z), step):
+            z, u = Z[start : start + step], D[start : start + step]
+            exits = self._ray_exit(np.repeat(z, K, axis=0), u.reshape(-1, self.dim))
+            out[start : start + step] = exits.reshape(len(z), K).min(axis=1)
+        return out
+
     def boundary_distance(self, p, directions: int = 32) -> float:
         return float(self.boundary_distance_many(self._rows(p), directions)[0])
 
@@ -314,13 +327,7 @@ class SemiAnalytic(Domain):
             axis=1,
         ).min(axis=1)
         U = _sphere_directions(self.dim, directions, seed=1)
-        # blocks of points keep each march to _BLOCK_POINTS membership tests
-        step = max(1, _BLOCK_POINTS // (len(U) * (_RAY_STEPS + 2)))
-        rays = np.empty(len(Z))
-        for start in range(0, len(Z), step):
-            z = Z[start : start + step]
-            exits = self._ray_exit(np.repeat(z, len(U), axis=0), np.tile(U, (len(z), 1)))
-            rays[start : start + step] = exits.reshape(len(z), len(U)).min(axis=1)
+        rays = self._shortest_exits(Z, np.broadcast_to(U, (len(Z),) + U.shape))
         return GAP_SAFETY * np.minimum(box_gap, rays)
 
     def to_json(self) -> dict:

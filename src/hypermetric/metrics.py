@@ -3,8 +3,9 @@
 Closed forms on disks and polydiscs are exact; on semi-analytic domains the
 supremum-type quantities are certified lower bounds (finite competitor
 families of holomorphic maps into the unit disk) and the infimum-type ones
-are upper bounds (affine analytic disks, polyline path minimization).  Every
-numerical value travels inside a Bound that records the direction.
+are upper bounds (affine analytic disks of sampled radius, polyline path
+minimization).  Every numerical value travels inside a Bound that records
+the direction.
 """
 
 from __future__ import annotations
@@ -218,68 +219,27 @@ def caratheodory_metric(
     return field.bound(float(field.eval(Z, V)[0]))
 
 
-_ZETA_RADII = (0.25, 0.5, 0.75, 0.9, 0.97, 0.995, 0.9995)
-_ZETA_ANGLES = 32
+# the 32 rotations e^{i theta_k} of a direction u whose rays from x bound the
+# largest centred affine disk x + zeta·rho·u in a semi-analytic domain
+_DISK_ANGLES = np.exp(2j * np.pi * np.arange(32) / 32)
+# the tol reported with a Kobayashi upper bound on a semi-analytic domain,
+# relative to its value
+DISK_REL_TOL = 1e-6
 
 
-@functools.lru_cache(maxsize=1)
-def _zeta_grid() -> np.ndarray:
-    angles = np.exp(2j * np.pi * np.arange(_ZETA_ANGLES) / _ZETA_ANGLES)
-    return np.concatenate([[0j]] + [[r * a for a in angles] for r in _ZETA_RADII])
-
-
-def _affine_disk_radii(
-    d: Domain, Z: np.ndarray, U: np.ndarray, tol: float
-) -> np.ndarray:
-    """Largest rho per row (sampled membership, bisection) with
-    Z[i] + zeta·rho·U[i] in d for every zeta of the grid, times the grid's
-    outer radius.
-
-    The bisection starts from the box diagonal, a radius that never fits:
-    the grid points of modulus 0.9995 at opposite angles would lie farther
-    apart than the box that holds d.  The rows bisect in lock step, each
-    with its own stopping rule and so its own midpoints; a finished row
-    tests its last radius again, which changes nothing.  Rows go through in
-    blocks so that one membership call tests at most _BLOCK_POINTS points.
-    """
-    zetas = _zeta_grid()
-    step = max(1, _BLOCK_POINTS // zetas.size)
-    out = np.empty(len(Z))
-    for start in range(0, len(Z), step):
-        z, u = Z[start : start + step, None, :], U[start : start + step, None, :]
-
-        def fits(rho: np.ndarray) -> np.ndarray:
-            pts = z + (zetas * rho[:, None])[:, :, None] * u
-            return d.contains_many(pts.reshape(-1, d.dim)).reshape(len(z), -1).all(axis=1)
-
-        lo, hi = np.zeros(len(z)), np.full(len(z), d.box_diagonal())
-        for _ in range(60):
-            open_ = hi - lo > tol * np.maximum(1.0, lo)
-            if not open_.any():
-                break
-            mid = np.where(open_, 0.5 * (lo + hi), lo)
-            ok = fits(mid)
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        out[start : start + step] = lo
-    # the grid stops at |zeta| = _ZETA_RADII[-1], so only the disk of that
-    # fraction of rho was tested; rho itself may overshoot the domain and
-    # make the Kobayashi bound fall below the true metric
-    return _ZETA_RADII[-1] * out
-
-
-def kobayashi_metric(d: Domain, x, v, tol: float = 1e-6) -> Bound:
+def kobayashi_metric(d: Domain, x, v) -> Bound:
     """Infimum of |lambda| over analytic disks through x with lambda·phi'(0) = v.
 
     Exact on polydiscs (where it coincides with the Carathéodory metric).
-    On semi-analytic domains, an upper bound from the largest affine analytic
-    disk through x in direction v.
+    On semi-analytic domains, |v| / rho for the largest centred affine disk
+    x + zeta·rho·v/|v|, with rho sampled (AnalyticDiskField): tagged upper,
+    but not proven to be one.
     """
     Z = _rows_in(d, x)
     varr = as_vector(v, d.dim)
     if float(np.linalg.norm(varr)) == 0.0:
         return Bound(0.0, EXACT)
-    field = metric_field(d, "kobayashi", tol=tol)
+    field = metric_field(d, "kobayashi")
     return field.bound(float(field.eval(Z, varr[None])[0]))
 
 
@@ -373,28 +333,36 @@ class CompetitorMetricField(MetricField):
 
 
 class AnalyticDiskField(MetricField):
-    """Upper-bound Kobayashi metric on a semi-analytic domain."""
+    """Kobayashi metric |v| / rho on a semi-analytic domain, tagged upper.
+
+    rho is the radius of the largest centred affine disk z + zeta·rho·u,
+    u = v/|v|, in the domain: the disk fits exactly when every ray
+    z + t·e^{i theta}·u with t < rho stays inside, so rho is the shortest
+    exit over the rays.  It is sampled: the shortest of 32 rays, at the
+    angles of _DISK_ANGLES, each exit found by a march and a bisection
+    (SemiAnalytic._ray_exit).  The disk may poke out of the domain between
+    the rays, which would make the value fall below the true metric.
+    """
 
     kind = UPPER
 
-    def __init__(self, d: SemiAnalytic, tol: float = 1e-6):
+    def __init__(self, d: SemiAnalytic):
         self.domain = d
-        self.tol = tol
 
     def eval(self, Z, V):
         vnorm = _row_norms(V)
         out = np.zeros(len(Z))
         rows = np.flatnonzero(vnorm)
-        rho = _affine_disk_radii(
-            self.domain, Z[rows], V[rows] / vnorm[rows, None], self.tol
-        )
+        U = V[rows] / vnorm[rows, None]
+        D = _DISK_ANGLES[None, :, None] * U[:, None, :]  # (rows, 32, n)
+        rho = self.domain._shortest_exits(Z[rows], D)
         if np.any(rho <= 0):
             raise PathInvalidError("no affine analytic disk fits at this point")
         out[rows] = vnorm[rows] / rho
         return out
 
     def bound(self, value):
-        return Bound(value, UPPER, tol=self.tol * value)
+        return Bound(value, UPPER, tol=DISK_REL_TOL * value)
 
 
 def metric_field(d: Domain, metric: str = "caratheodory", **opts) -> MetricField:

@@ -72,22 +72,44 @@ class TestCaratheodoryDiameter:
         assert M.kind == EXACT
         assert M.value == pytest.approx(2 * math.atanh(0.5))
 
-    # Disk(0.2, 0.3) is not concentric with the unit disk, so its diameter
-    # is sampled; the extremal pair is -0.1, 0.5 on the real axis
+    # Disk(0.2, 0.3) is not concentric with the unit disk; its diameter is
+    # taken between -0.1 and 0.5 on the real axis
     OFFCENTER_DIAMETER = math.atanh(0.6 / 1.05)
 
-    def test_sampled_close_to_exact(self):
+    def test_offcenter_disk_exact(self):
         M = caratheodory_diameter(unit_disk(), Disk(0.2, 0.3))
-        assert M.kind == LOWER
-        assert M.value <= self.OFFCENTER_DIAMETER + 1e-12
-        assert M.value >= 0.99 * self.OFFCENTER_DIAMETER
+        assert M.kind == EXACT
+        assert M.value == pytest.approx(self.OFFCENTER_DIAMETER, abs=1e-12)
 
-    def test_offcenter_sampled_is_lower(self):
+    def test_offcenter_polydisc_exact(self):
         # per coordinate the extremal pairs are -0.4, 0.6 and -0.4, 0.4; the
         # first gives the diameter atanh(1/1.24)
         M = caratheodory_diameter(Polydisc([0, 0], [1, 1]), Polydisc([0.1, 0], [0.5, 0.4]))
-        assert M.kind == LOWER
-        assert 0 < M.value <= math.atanh(1 / 1.24) + 1e-12
+        assert M.kind == EXACT
+        assert M.value == pytest.approx(math.atanh(1 / 1.24), abs=1e-12)
+
+    def test_far_centre_is_not_concentric(self):
+        # the centres differ by 0.005, which np.allclose would call equal
+        cert = certificate_for(Disk(1000, 1), Disk(1000.005, 0.5), TANH_DIAMETER)
+        assert cert.rigorous and cert.M.kind == EXACT
+        assert cert.k == pytest.approx(1 / 1.249975, rel=1e-12)
+
+    def test_nested_disks_match_boundary_search(self):
+        # the largest Poincaré distance between 720 points on the boundary
+        # circle of U, in the coordinate of X's unit disk
+        rng = np.random.default_rng(1919)
+        for _ in range(50):
+            cX, rX = complex(*rng.uniform(-5, 5, 2)), rng.uniform(0.5, 3)
+            rho = rng.uniform(0.05, 0.9)
+            c = (1 - rho) * rng.uniform(0, 0.95) * np.exp(2j * np.pi * rng.random())
+            X, U = Disk(cX, rX), Disk(cX + rX * c, rX * rho)
+            M = caratheodory_diameter(X, U)
+            ring = U.centers[0] + U.radii[0] * np.exp(2j * np.pi * np.arange(720) / 720)
+            w = (ring - X.centers[0]) / X.radii[0]
+            q = np.abs((w[:, None] - w[None, :]) / (1 - np.conj(w[None, :]) * w[:, None]))
+            search = float(np.arctanh(q.max()))
+            assert M.kind == EXACT
+            assert search - 1e-12 <= M.value <= search * (1 + 1e-6)
 
     @pytest.mark.parametrize("center, radius", [(0, 0.5), (0.3j, 0.4)])
     def test_semianalytic_close_to_closed_form(self, center, radius):

@@ -1,11 +1,12 @@
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
 
 from hypermetric.contraction import TANH_DIAMETER, certificate_for
-from hypermetric.domains import Disk, Polydisc, unit_disk
+from hypermetric.domains import Disk, Polydisc, SemiAnalytic, unit_disk
 from hypermetric.errors import (
     ConfigurationError,
     NonConvergenceError,
@@ -40,6 +41,22 @@ class TestPicardSolve:
         f = parse("(z1^2 + 1)/4", 1)
         res = picard_solve(f, unit_disk(), Disk(0, 0.6), 0.0)
         assert abs(res.c.coords[0] - (2 - math.sqrt(3))) < 1e-9
+
+    def test_quadratic_fixed_point_on_semianalytic(self):
+        # the unit disk cut out by one of its automorphisms: d0 is an
+        # integrated Kobayashi descent on the affine-disk field
+        X = SemiAnalytic(
+            [(parse("(z1 - 0.2)/(1 - 0.2*z1)", 1), 1.0)], [[-1.05, 1.05, -1.05, 1.05]]
+        )
+        start = time.perf_counter()
+        res = picard_solve(parse("(z1^2+1)/4", 1), X, Disk(0, 0.6), 0)
+        assert time.perf_counter() - start < 10
+        assert abs(res.c.coords[0] - (2 - math.sqrt(3))) < 1e-9
+        # x1 = 0.25: between the Poincaré distance and the integral of the
+        # centred-disk bound, ln(4/3)
+        d0 = res.trace.d0
+        assert d0.kind == "upper"
+        assert math.atanh(0.25) <= d0.value <= math.log(4 / 3) + 1e-6
 
     def test_bidisc(self):
         f = parse("(z1 + z2^2)/4 + 0.1; z2/3", 2)

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_disk_selfmaps
 from hypermetric import metrics
 from hypermetric.domains import (
+    _RAY_STEPS,
     Disk,
     Polydisc,
     SemiAnalytic,
@@ -26,13 +27,12 @@ from hypermetric.metrics import (
     MetricField,
     Polyline,
     _BLOCK_POINTS,
-    _ZETA_RADII,
+    _DISK_ANGLES,
     _competitors_for,
     _coordinate_descent,
     _gauss01,
     _lengths_of,
     _relax_vertices,
-    _zeta_grid,
     caratheodory_distance,
     caratheodory_metric,
     integrated_distance,
@@ -209,6 +209,15 @@ class TestKobayashiMetric:
     def test_moebius_upper_is_above_truth(self):
         b = kobayashi_metric(MOEBIUS_DISK, 0, 1)
         assert b.kind == UPPER and b.value + b.tol >= 1.0
+        # the Möbius-cut domains are the unit disk and bidisc, so the
+        # polydisc closed form is the true metric at sampled rows too
+        for d in (MOEBIUS_DISK, MOEBIUS_BIDISC):
+            Z, V = rows_in(d, 512, seed=11)
+            field = metric_field(d, "kobayashi")
+            truth = metric_field(Polydisc([0] * d.dim, [1] * d.dim)).eval(Z, V)
+            for value, true in zip(field.eval(Z, V).tolist(), truth.tolist()):
+                b = field.bound(value)
+                assert b.kind == UPPER and b.value + b.tol >= true
 
 
 class TestCaratheodoryDistance:
@@ -619,31 +628,15 @@ def caratheodory_reference(d, z, v):
     return best
 
 
-def disk_reference(d, z, v, tol=1e-6):
-    """Kobayashi upper bound at one point: bisection on the radius of the
-    largest centred affine disk, one membership call per step."""
+def disk_reference(d, z, v):
+    """Kobayashi upper bound at one point: |v| over the shortest exit of the
+    rays from z along the rotations w·u of u = v/|v|, one ray at a time."""
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0:
         return 0.0
     u = v / vnorm
-    zetas = _zeta_grid()
-
-    def fits(rho):
-        return bool(d.contains_many(z + (zetas * rho)[:, None] * u).all())
-
-    hi = d.box_diagonal()
-    if fits(hi):
-        return vnorm / hi
-    lo = 0.0
-    for _ in range(60):
-        if hi - lo <= tol * max(1.0, lo):
-            break
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return vnorm / (_ZETA_RADII[-1] * lo)
+    rho = min(float(d._ray_exit(z, (w * u)[None])[0]) for w in _DISK_ANGLES)
+    return vnorm / rho
 
 
 class TestArrayFields:
@@ -665,7 +658,8 @@ class TestArrayFields:
             assert dw[i].tolist() == [c[1] for c in ref]
 
     def test_disk_field_matches_reference_across_blocks(self):
-        count = _BLOCK_POINTS // _zeta_grid().size + 9
+        # SemiAnalytic._shortest_exits takes this many rows per block
+        count = _BLOCK_POINTS // (_DISK_ANGLES.size * (_RAY_STEPS + 2)) + 9
         Z, V = rows_in(MOEBIUS_DISK, count, seed=4)
         V[5] = 0
         got = metric_field(MOEBIUS_DISK, "kobayashi").eval(Z, V)
