@@ -8,10 +8,13 @@ any quadrature node leaves the polydisc (nonpositive denominator).
 overhead is paid once per stack rather than once per polyline;
 `polyline_length` is the single-polyline form of the same computation.
 Each row's length depends on that row only: a sub-stack gives bitwise the
-same lengths as the full stack at those rows.  The max over coordinates is
-taken elementwise, one `np.maximum` per coordinate, which picks the same
-values as a reduction over the coordinate axis and avoids its slow strided
-loop.
+same lengths as the full stack at those rows.  The node arrays are laid out
+(B, m-1, n, q), nodes innermost, so the centres, the radii and |seg|
+broadcast over inner loops of q nodes rather than of n = 1 or 2
+coordinates.  The max over coordinates is taken elementwise, one
+`np.maximum` per coordinate on contiguous (B, m-1, q) slices, which picks
+the same values as a reduction over the coordinate axis and avoids its slow
+strided loop.
 """
 
 import numpy as np
@@ -27,20 +30,22 @@ def polyline_lengths(stack, centers, radii, nodes, weights):
 
     seg = stack[:, 1:] - stack[:, :-1]  # (B, m-1, n)
     # quadrature nodes z = start + t·seg, then z - c, in place
-    z = nodes[None, None, :, None] * seg[:, :, None, :]  # (B, m-1, q, n)
-    z += stack[:, :-1, None, :]
-    z -= centers
+    z = nodes * seg[..., None]  # (B, m-1, n, q)
+    z += stack[:, :-1, :, None]
+    z -= centers[:, None]
     den = np.abs(z)
     np.multiply(den, den, out=den)
-    np.subtract(radii**2, den, out=den)  # r² - |z - c|²
-    escaped = np.any(den <= 0.0, axis=(1, 2, 3))
+    np.subtract((radii**2)[:, None], den, out=den)  # r² - |z - c|²
+    # one reduction tells whether any node escapes; rows are tested only then
+    escaped = np.any(den <= 0.0, axis=(1, 2, 3)) if den.min(initial=np.inf) <= 0.0 else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.divide(radii * np.abs(seg)[:, :, None, :], den, out=den)
-    e = np.ascontiguousarray(val[..., 0])  # (B, m-1, q)
-    for j in range(1, val.shape[3]):
-        np.maximum(e, val[..., j], out=e)
+        val = np.divide((radii * np.abs(seg))[..., None], den, out=den)
+    e = val[:, :, 0].copy()  # (B, m-1, q)
+    for j in range(1, val.shape[2]):
+        np.maximum(e, val[:, :, j], out=e)
     out = (e @ weights).sum(axis=1)
-    out[escaped] = -1.0
+    if escaped is not None:
+        out[escaped] = -1.0
     return out
 
 

@@ -46,6 +46,9 @@ UPPER = "upper"
 DEFAULT_QUAD_ORDER = 32
 QUAD_REL_TOL = 1e-6
 QUAD_MAX_DOUBLINGS = 10
+# above this many nodes a segment's rule is ceil(order / GAUSS_PANEL_NODES)
+# equal panels of Gauss-Legendre, each of at most this many nodes
+GAUSS_PANEL_NODES = 64
 OPT_REL_TOL = 1e-6
 DEFAULT_SEGMENTS = 8
 DEFAULT_REFINEMENTS = 4
@@ -57,6 +60,10 @@ PATTERN_STEPS = np.array([0.0, 1.0, 3.0, 9.0, 27.0])
 # the fractions of the way to the midpoint of its neighbours that a vertex
 # tries after each sweep but a level's first
 MIDPOINT_STEPS = np.array([0.1, 0.3, 1.0])
+# the straight seed is respaced to equal metric length from the lengths of
+# SEED_SUBSEGMENTS equal pieces per seed segment, each at order SEED_ORDER
+SEED_SUBSEGMENTS = 16
+SEED_ORDER = 1
 # on every descent level but the last, sweeps also stop once one gains at
 # most this fraction of the level's first-sweep gain
 COARSE_GAIN_FRAC = 3e-4
@@ -405,8 +412,18 @@ class Polyline:
 
 @functools.lru_cache(maxsize=16)
 def _gauss01(order: int) -> tuple:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return (0.5 * (x + 1.0), 0.5 * w)
+    """(nodes, weights) of an order-node rule on [0, 1]: Gauss-Legendre up to
+    GAUSS_PANEL_NODES nodes, else P = ceil(order / GAUSS_PANEL_NODES) equal
+    panels of ceil(order / P)-node Gauss-Legendre.  leggauss is a dense
+    eigen-solve, O(order^3) in time and O(order^2) in memory, so the panels
+    keep a doubled order cheap."""
+    panels = -(-order // GAUSS_PANEL_NODES)
+    x, w = np.polynomial.legendre.leggauss(-(-order // panels))
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    if panels == 1:
+        return x, w
+    starts = np.arange(panels)[:, None]
+    return ((starts + x) / panels).ravel(), np.tile(w / panels, panels)
 
 
 def _length_of(field: MetricField, verts: np.ndarray, order: int) -> float:
@@ -464,7 +481,8 @@ def _lengths_of(field: MetricField, stack: np.ndarray, order: int) -> np.ndarray
     if field.model is not None:
         centers, radii = field.model
         vals = kernels.polyline_lengths(stack, centers, radii, nodes, weights)
-        return np.where(vals < 0, math.inf, vals)
+        vals[vals < 0] = math.inf
+        return vals
     seg = stack[:, 1:] - stack[:, :-1]  # (B, m-1, n)
     z = stack[:, :-1, None, :] + nodes[None, None, :, None] * seg[:, :, None, :]
     B, S, Q, n = z.shape
@@ -497,35 +515,42 @@ def _relax_vertices(
     ties going to the lowest coordinate, if that strictly shortens its local
     objective.  Updates verts in place.
 
-    The k = idx.size local polylines live in one (2dk, 3, n) buffer of
-    [left, mid, right] rows, in (sign, coordinate, vertex) order: left and
-    right are written once and each pass writes only the mid column.  The
-    candidates are the + probe rows of the (coordinate, vertex) pairs that
-    have one, with their own mid.
+    The k = idx.size local polylines live in one ((2d + 1)k, 3, n) buffer of
+    [left, mid, right] rows: 2dk probe rows in (sign, coordinate, vertex)
+    order, then the k current vertices, which the first pass measures in
+    the same call as its probes.  Left and right are written once and each
+    pass writes only the mid column.  The candidates are the + probe rows of
+    the (coordinate, vertex) pairs that have one, with their own mid.
     """
     n, k = verts.shape[1], idx.size
     d = 2 * n
-    buf = np.empty((2 * d * k, 3, n), dtype=complex)
-    ends = np.tile(idx, 2 * d)
+    buf = np.empty(((2 * d + 1) * k, 3, n), dtype=complex)
+    ends = np.tile(idx, 2 * d + 1)
     buf[:, 0], buf[:, 2] = verts[ends - 1], verts[ends + 1]
+    nprobe = 2 * d * k
+    probe_buf = buf[:nprobe]
 
     x = np.concatenate([verts[idx].real, verts[idx].imag], axis=1)
-    np.add(x[:, :n], 1j * x[:, n:], out=buf[:k, 1])
-    f0 = _lengths_of(field, buf[:k], order)
+    np.add(x[:, :n], 1j * x[:, n:], out=buf[nprobe:, 1])
     h = 0.25 * np.maximum(
         np.abs(verts[idx] - buf[:k, 0]).max(axis=1),
         np.abs(buf[:k, 2] - verts[idx]).max(axis=1),
     )
     probes = np.empty((2, d, k, d))
     axes, rows = np.arange(d), np.arange(k)
-    for _pass in range(4):
-        probes[:] = x
-        probes[0, axes, :, axes] += h
-        probes[1, axes, :, axes] -= h
-        flat = probes.reshape(-1, d)
-        np.add(flat[:, :n], 1j * flat[:, n:], out=buf[:, 1])
-        fp, fm = _lengths_of(field, buf, order).reshape(2, d, k)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _pass in range(4):
+            probes[:] = x
+            probes[0, axes, :, axes] += h
+            probes[1, axes, :, axes] -= h
+            flat = probes.reshape(-1, d)
+            np.add(flat[:, :n], 1j * flat[:, n:], out=probe_buf[:, 1])
+            if _pass == 0:
+                f = _lengths_of(field, buf, order)
+                fprobe, f0 = f[:nprobe], f[nprobe:]
+            else:
+                fprobe = _lengths_of(field, probe_buf, order)
+            fp, fm = fprobe.reshape(2, d, k)
             curv = fp - 2 * f0 + fm
             parabolic = curv > 0
             # fmin/fmax drop a nan step (from inf probes) in favour of the
@@ -535,22 +560,22 @@ def _relax_vertices(
                 np.fmax(-3 * h, np.fmin(3 * h, 0.5 * h * (fm - fp) / curv)),
                 np.where(fp < fm, h, -h),
             )
-        useful = np.flatnonzero(parabolic | (fp < f0) | (fm < f0))
-        if useful.size:
-            q, i = np.divmod(useful, k)
-            xc = x[i]
-            xc[np.arange(useful.size), q] += step.ravel()[useful]
-            cand = buf[useful]
-            np.add(xc[:, :n], 1j * xc[:, n:], out=cand[:, 1])
-            fc = np.full(d * k, math.inf)
-            fc[useful] = _lengths_of(field, cand, order)
-            fc = fc.reshape(d, k)
-            best = fc.argmin(axis=0)
-            fbest = fc[best, rows]
-            move = np.flatnonzero(fbest < f0)
-            x[move, best[move]] += step[best[move], move]
-            f0[move] = fbest[move]
-        h = h * 0.35
+            useful = np.flatnonzero(parabolic | (fp < f0) | (fm < f0))
+            if useful.size:
+                q, i = np.divmod(useful, k)
+                xc = x[i]
+                xc[np.arange(useful.size), q] += step.ravel()[useful]
+                cand = buf[useful]
+                np.add(xc[:, :n], 1j * xc[:, n:], out=cand[:, 1])
+                fc = np.full(d * k, math.inf)
+                fc[useful] = _lengths_of(field, cand, order)
+                fc = fc.reshape(d, k)
+                best = fc.argmin(axis=0)
+                fbest = fc[best, rows]
+                move = np.flatnonzero(fbest < f0)
+                x[move, best[move]] += step[best[move], move]
+                f0[move] = fbest[move]
+            h = h * 0.35
     verts[idx] = x[:, :n] + 1j * x[:, n:]
 
 
@@ -638,20 +663,45 @@ def _coordinate_descent(
     return verts
 
 
+def _equal_metric_spacing(field: MetricField, verts: np.ndarray) -> np.ndarray:
+    """The straight polyline verts with its interior vertices moved along it
+    so that all its segments have the same metric length.
+
+    The lengths of SEED_SUBSEGMENTS equal pieces per segment, at order
+    SEED_ORDER and in one call, give the cumulative length at their ends;
+    the vertices go where it reaches the fractions j/m of the total, by
+    linear interpolation.  verts is returned as it is if a piece escapes or
+    the total is 0.
+    """
+    za, zb = verts[0], verts[-1]
+    m = verts.shape[0] - 1
+    t = np.linspace(0.0, 1.0, SEED_SUBSEGMENTS * m + 1)
+    points = za + t[:, None] * (zb - za)
+    pieces = np.stack([points[:-1], points[1:]], axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(_lengths_of(field, pieces, SEED_ORDER))])
+    if not 0 < cum[-1] < math.inf:
+        return verts
+    out = verts.copy()
+    out[1:-1] = za + np.interp(cum[-1] * np.arange(1, m) / m, cum, t)[:, None] * (zb - za)
+    return out
+
+
 def _seed_polyline(
     field: MetricField, d: Domain, za: np.ndarray, zb: np.ndarray, m: int, seed: int
 ) -> np.ndarray:
     def straight(points):
+        # each leg ends on its point exactly: p + 1.0 * (q - p) may round off q
         pts = [points[0]]
         per = max(1, m // (len(points) - 1))
         for p, q in zip(points, points[1:]):
-            for t in np.linspace(0, 1, per + 1)[1:]:
+            for t in np.linspace(0, 1, per + 1)[1:-1]:
                 pts.append(p + t * (q - p))
+            pts.append(q)
         return np.array(pts)
 
     verts = straight([za, zb])
     if math.isfinite(_length_of(field, verts, 4)):
-        return verts
+        return _equal_metric_spacing(field, verts)
     for mid in np.concatenate([_anchor_of(d)[None], sample(d, 32, seed)]):
         verts = straight([za, mid, zb])
         if math.isfinite(_length_of(field, verts, 4)):
@@ -672,8 +722,12 @@ def integrated_distance(
     """Infimum of path lengths, approximated from above by polyline descent.
 
     Descent on the interior vertices of a `segments`-segment seed polyline,
-    then on each of `refinements` successive vertex doublings, until one
-    doubling gains at most rel_tol relative (`_coordinate_descent`).  Each
+    then on each of `refinements` successive vertex doublings, until a
+    level changes the refined length by at most rel_tol relative, either
+    way: a loss of rounding size stops the refinement as a gain would
+    (`_coordinate_descent`).  The seed is the straight segment with its
+    vertices at equal metric length (`_equal_metric_spacing`), or a
+    two-leg path through a sampled point where that leaves the domain.  Each
     level stops its sweeps once one gains at most 0.05 * rel_tol relative,
     and every level but the last also once one gains at most
     COARSE_GAIN_FRAC times its first sweep's gain.  Yields the integrated
@@ -705,7 +759,7 @@ def integrated_distance(
         last_improvement = best - cur
         best = min(best, cur)
         if round_idx < refinements:
-            if 0 <= last_improvement <= rel_tol * max(1e-30, best):
+            if abs(last_improvement) <= rel_tol * max(1e-30, best):
                 break
             verts = _subdivide(verts)
     caveat = None

@@ -314,6 +314,29 @@ class TestPathLength:
         got = path_length(field, Polyline([0, 0.4], order=8))
         assert got.kind == LOWER and got.caveat
 
+    def test_gauss_rule_up_to_64_nodes_is_leggauss(self):
+        for order in range(1, 65):
+            x, w = np.polynomial.legendre.leggauss(order)
+            nodes, weights = _gauss01(order)
+            assert np.array_equal(nodes, 0.5 * (x + 1.0)), order
+            assert np.array_equal(weights, 0.5 * w), order
+
+    def test_gauss_panels_integrate_degree_127_exactly(self):
+        # two 64-node panels: exact for polynomials of degree up to 127
+        nodes, weights = _gauss01(128)
+        assert nodes.size == 128 and np.all(np.diff(nodes) > 0)
+        for k in range(128):
+            assert np.dot(weights, nodes**k) == pytest.approx(1 / (k + 1), rel=1e-13), k
+
+    def test_kinked_bidisc_segment_to_closed_form(self):
+        # the coordinate metrics cross at the segment's midpoint, where the
+        # integrand has a kink that the order doubling chases to high orders
+        field = metric_field(Polydisc([0, 0], [1, 1]))
+        got = path_length(field, Polyline([(0.9, 0), (0, 0.9)]))
+        exact = 2 * (math.atanh(0.9) - math.atanh(0.45))
+        assert abs(got.value - exact) <= 1e-12
+        assert got.tol <= 1e-12
+
 
 # every pointwise entry point, with the point under test as its last argument
 POINTWISE = {
@@ -388,6 +411,32 @@ class TestIntegratedDistance:
         d = unit_disk()
         with pytest.raises(ArgumentError):
             integrated_distance(metric_field(d), d, 0, 0.5, **opts)
+
+    @pytest.mark.parametrize("a, b", [(0.9, -0.9), (0, 0.95j), (0.8 + 0.1j, -0.3j)])
+    def test_seed_segments_have_equal_metric_length(self, a, b):
+        d = unit_disk()
+        field = metric_field(d)
+        za, zb = np.array([a], complex), np.array([b], complex)
+        verts = metrics._seed_polyline(field, d, za, zb, 8, 0)
+        assert verts.shape == (9, 1)
+        assert verts[0] == za and verts[-1] == zb
+        lengths = _lengths_of(field, np.stack([verts[:-1], verts[1:]], axis=1), 64)
+        assert lengths.max() / lengths.min() <= 1.02
+
+    def test_rounding_sized_loss_stops_refinement(self, monkeypatch):
+        # the geodesic 0 -> 0.9 is straight, so the first level's descent
+        # leaves the refined length within rounding of the seed's
+        levels = []
+
+        def counted(*args, **kwargs):
+            levels.append(kwargs["coarse"])
+            return _coordinate_descent(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_coordinate_descent", counted)
+        d = unit_disk()
+        got = integrated_distance(metric_field(d), d, 0, 0.9)
+        assert len(levels) == 1
+        assert got.value == pytest.approx(math.atanh(0.9), abs=1e-14)
 
     def test_semianalytic_disk_matches_poincare_and_repeats(self):
         # a field without a polydisc model: the descent batches _length_of calls
@@ -554,6 +603,30 @@ class TestDescentAccuracy:
                 assert abs(got - exact) <= 1e-4, (a, b)  # the former stall
             else:
                 assert abs(got - exact) <= 1.6e-5, (a, b)
+
+    def test_near_tie_bidisc_pair(self):
+        # the two coordinate distances are close, so the geodesic family is
+        # wide; the Euclidean-spaced seed ended 1.3e-3 above the closed form
+        a = (
+            -0.44539706916562083 - 0.3866360147944911j,
+            0.7232555357470931 + 0.17865144228373295j,
+        )
+        b = (
+            0.2983959945162678 + 0.19390878494424232j,
+            0.13900940207295762 + 0.5413494622773122j,
+        )
+        exact = max(poincare_distance(z, w) for z, w in zip(a, b))
+        got = integrated_distance(metric_field(BIDISC), BIDISC, a, b).value
+        assert abs(got - exact) <= 1.6e-5
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ends 1.0e-2 above artanh 0.9 with a tol of 2.2e-3: the order-8 "
+        "descent objective undershoots at the kinks of this symmetric pair",
+    )
+    def test_symmetric_bidisc_pair(self):
+        got = integrated_distance(metric_field(BIDISC), BIDISC, (0.9, 0), (0, 0.9))
+        assert abs(got.value - math.atanh(0.9)) <= 1e-4
 
     def test_fresh_pairs_within_earlier_worst(self):
         # pairs off the criterion-1 grid, uniform in the disk of radius r

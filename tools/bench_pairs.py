@@ -18,9 +18,11 @@ The summary gives, per workload and end-to-end metric of BENCHMARK.json,
 every run, the median and the quartiles of each side
 (`statistics.quantiles(runs, n=4, method="inclusive")`), the ratio of the
 medians, the pairs the change wins and loses, and whether the change's median
-is within the metric's bound.  A claim is met when the change is better in at
-least 9 of 10 pairs and the medians differ by more than the parent's
-interquartile range.
+is within the metric's bound.  A claim reports the ratio of the medians and
+is met when the change is better in at least 9 of 10 pairs, its median is
+better by more than the parent's interquartile range, and it clears the
+metric's bound: its median is better than the parent's by more than `bound`
+times the parent's median.
 """
 
 import argparse
@@ -145,14 +147,18 @@ def summarize(args):
             gap = -gap
         iqr = m["parent"]["q3"] - m["parent"]["q1"]
         need = -(-9 * workloads[workload]["pairs"] // 10)
+        clears_bound = gap > specs[metric]["bound"] * m["parent"]["median"]
         claims.append({
             "workload": workload,
             "metric": metric,
-            "rule": "change better in >= 9 of 10 pairs, and its median better by more than parent q3 - q1",
+            "rule": "change better in >= 9 of 10 pairs, its median better by more than parent "
+                    "q3 - q1, and better by more than bound x parent median",
             "pairs_change_better": m["pairs_change_better"],
+            "change_over_parent_median": m["change_over_parent_median"],
             "median_gap": gap,
             "parent_iqr": iqr,
-            "met": m["pairs_change_better"] >= need and gap > iqr,
+            "clears_bound": clears_bound,
+            "met": m["pairs_change_better"] >= need and gap > iqr and clears_bound,
         })
     first = min(r["seed"] for r in paired)
     seconds = paired[0]["seconds"]
