@@ -17,18 +17,14 @@ from typing import Optional
 from . import __version__
 from .contraction import (
     DILATION,
+    TANH_DIAMETER,
     caratheodory_diameter,
     certificate_for,
     verify_metric_contraction,
 )
-from .domains import Disk, Domain, Point, Polydisc, domain_from_json
-from .errors import (
-    HypermetricError,
-    NonConvergenceError,
-    PreconditionError,
-    UsageError,
-)
-from .fixedpoint import picard_solve, trace_to_csv
+from .domains import DEFAULT_SAMPLES, Disk, Domain, Point, Polydisc, domain_from_json
+from .errors import HypermetricError, NonConvergenceError, PreconditionError, UsageError
+from .fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL, picard_solve, trace_to_csv
 from .holomap import parse as parse_map
 from .metrics import (
     caratheodory_distance,
@@ -45,13 +41,32 @@ EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_NONCONVERGENCE = 3
 
-_DEFAULTS = {
-    "seed": 0,
-    "samples": 512,
-    "tol": 1e-10,
-    "max_iter": 10000,
-    "metric": "caratheodory",
-    "method": DILATION,
+_METRICS = ("caratheodory", "kobayashi")
+_INTEGRATED = {"integrated-" + m: m for m in _METRICS}
+
+# name -> (type, default, choices), each option's one declaration.  A bool
+# option is a switch; a dict option is a domain: a literal on the command line,
+# a literal or a JSON object in a config file.
+_OPTIONS = {
+    **dict.fromkeys(("domain", "X", "U"), (dict, None, None)),
+    **dict.fromkeys(("point", "vector", "a", "b", "map", "x0"), (str, None, None)),
+    "trace": (str, None, None),
+    "k": (float, None, None),
+    "metric": (str, "caratheodory", _METRICS + ("poincare",)),
+    "kind": (str, "caratheodory", ("caratheodory", "poincare", *_INTEGRATED)),
+    "method": (str, DILATION, (DILATION, TANH_DIAMETER)),
+    "step_invariant": (bool, False, None),
+    "override_range": (bool, False, None),
+    "seed": (int, 0, None),
+    "samples": (int, DEFAULT_SAMPLES, None),
+    "tol": (float, DEFAULT_TOL, None),
+    "max_iter": (int, DEFAULT_MAX_ITER, None),
+}
+
+_HELP = {
+    "trace": "write the iteration trace CSV here",
+    "out": "write the JSON result here",
+    "config": "JSON config file ('-' for stdin)",
 }
 
 
@@ -77,7 +92,11 @@ def parse_point_literal(text: str) -> Point:
 def parse_domain_literal(text: str) -> Domain:
     text = text.strip()
     if text.startswith("{"):
-        return domain_from_json(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise UsageError(f"cannot parse domain JSON: {exc}") from None
+        return domain_from_json(data)
     if ":" not in text:
         raise UsageError(f"cannot parse domain literal {text!r}")
     kind, _, rest = text.partition(":")
@@ -99,106 +118,6 @@ def parse_domain_literal(text: str) -> Domain:
     )
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hypermetric", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, samples=True, iteration=False):
-        p.add_argument("--seed", type=int, default=None)
-        if samples:
-            p.add_argument("--samples", type=int, default=None)
-        if iteration:
-            p.add_argument("--tol", type=float, default=None)
-            p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-        p.add_argument("--out", default=None, help="write the JSON result here")
-        p.add_argument(
-            "--config", default=None, help="JSON config file ('-' for stdin)"
-        )
-
-    p = sub.add_parser("metric", help="evaluate an infinitesimal metric")
-    p.add_argument("--domain", default=None)
-    p.add_argument("--point", default=None)
-    p.add_argument("--vector", default=None)
-    p.add_argument(
-        "--metric", choices=["caratheodory", "kobayashi", "poincare"], default=None
-    )
-    common(p, samples=False)
-
-    p = sub.add_parser("distance", help="evaluate a pseudodistance")
-    p.add_argument("--domain", default=None)
-    p.add_argument("--a", default=None)
-    p.add_argument("--b", default=None)
-    p.add_argument(
-        "--kind",
-        choices=[
-            "caratheodory",
-            "poincare",
-            "integrated-caratheodory",
-            "integrated-kobayashi",
-        ],
-        default=None,
-    )
-    common(p, samples=False)
-
-    p = sub.add_parser("diameter", help="invariant diameter of U inside X")
-    p.add_argument("--X", dest="X", default=None)
-    p.add_argument("--U", dest="U", default=None)
-    common(p)
-
-    p = sub.add_parser("contraction", help="contraction certificate for U in X")
-    p.add_argument("--X", dest="X", default=None)
-    p.add_argument("--U", dest="U", default=None)
-    p.add_argument("--method", choices=["dilation", "tanh_diameter"], default=None)
-    common(p)
-
-    p = sub.add_parser("verify", help="check the metric contraction inequality")
-    p.add_argument("--X", dest="X", default=None)
-    p.add_argument("--U", dest="U", default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--metric", choices=["caratheodory", "kobayashi"], default=None)
-    p.add_argument("--method", choices=["dilation", "tanh_diameter"], default=None)
-    common(p)
-
-    p = sub.add_parser("fixpoint", help="Picard iteration to the fixed point")
-    p.add_argument("--X", dest="X", default=None)
-    p.add_argument("--U", dest="U", default=None)
-    p.add_argument("--map", dest="map", default=None)
-    p.add_argument("--x0", default=None)
-    p.add_argument("--method", choices=["dilation", "tanh_diameter"], default=None)
-    p.add_argument("--trace", default=None, help="write the iteration trace CSV here")
-    p.add_argument("--step-invariant", action="store_true", default=None)
-    p.add_argument("--override-range", action="store_true", default=None)
-    common(p, iteration=True)
-
-    return parser
-
-
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    if args.config == "-":
-        return json.load(sys.stdin)
-    with open(args.config) as fh:
-        return json.load(fh)
-
-
-def _resolve(args, file_cfg: dict, keys: list) -> dict:
-    """Flag > config file > default, collected into one provenance dict."""
-    out = {}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is None:
-            val = file_cfg.get(key, _DEFAULTS.get(key))
-        out[key] = val
-    return out
-
-
 def _need(cfg: dict, key: str):
     if cfg.get(key) is None:
         raise UsageError(f"missing required option --{key.replace('_', '-')}")
@@ -212,97 +131,174 @@ def _domain_of(cfg: dict, key: str) -> Domain:
     return parse_domain_literal(val)
 
 
-def _dispatch(args) -> tuple:
-    file_cfg = _load_config(args)
-    cmd = args.command
-    if cmd == "metric":
-        cfg = _resolve(args, file_cfg, ["domain", "point", "vector", "metric", "seed"])
-        point = parse_point_literal(_need(cfg, "point"))
-        vector = [parse_complex_literal(p) for p in _need(cfg, "vector").split(",")]
-        which = cfg["metric"]
-        if which == "poincare":
-            value = poincare_metric(point.coords[0], vector[0])
-            return cfg, {"value": value, "kind": "exact", "tol": 0.0}
-        d = _domain_of(cfg, "domain")
-        if which == "kobayashi":
-            b = kobayashi_metric(d, point, vector)
+def _exact(value: float) -> dict:
+    return {"value": value, "kind": "exact", "tol": 0.0}
+
+
+def _metric(cfg: dict) -> dict:
+    point = parse_point_literal(_need(cfg, "point"))
+    vector = [parse_complex_literal(p) for p in _need(cfg, "vector").split(",")]
+    if cfg["metric"] == "poincare":
+        return _exact(poincare_metric(point.coords[0], vector[0]))
+    d = _domain_of(cfg, "domain")
+    if cfg["metric"] == "kobayashi":
+        return kobayashi_metric(d, point, vector).to_json()
+    return caratheodory_metric(d, point, vector, seed=cfg["seed"]).to_json()
+
+
+def _distance(cfg: dict) -> dict:
+    a = parse_point_literal(_need(cfg, "a"))
+    b = parse_point_literal(_need(cfg, "b"))
+    if cfg["kind"] == "poincare":
+        return _exact(poincare_distance(a.coords[0], b.coords[0]))
+    d = _domain_of(cfg, "domain")
+    if cfg["kind"] == "caratheodory":
+        return caratheodory_distance(d, a, b, seed=cfg["seed"]).to_json()
+    field = metric_field(d, _INTEGRATED[cfg["kind"]])
+    return integrated_distance(field, d, a, b, seed=cfg["seed"]).to_json()
+
+
+def _diameter(cfg: dict) -> dict:
+    X, U = _domain_of(cfg, "X"), _domain_of(cfg, "U")
+    M = caratheodory_diameter(X, U, samples=cfg["samples"], seed=cfg["seed"])
+    return M.to_json()
+
+
+def _certificate(cfg: dict, X: Domain, U: Domain):
+    return certificate_for(
+        X, U, method=cfg["method"], samples=cfg["samples"], seed=cfg["seed"]
+    )
+
+
+def _contraction(cfg: dict) -> dict:
+    return _certificate(cfg, _domain_of(cfg, "X"), _domain_of(cfg, "U")).to_json()
+
+
+def _verify(cfg: dict) -> dict:
+    X, U = _domain_of(cfg, "X"), _domain_of(cfg, "U")
+    if cfg["k"] is None:
+        cfg["k"] = _certificate(cfg, X, U).k
+    report = verify_metric_contraction(
+        X, U, cfg["k"], metric=cfg["metric"], samples=cfg["samples"], seed=cfg["seed"]
+    )
+    return report.to_json()
+
+
+def _fixpoint(cfg: dict) -> dict:
+    X, U = _domain_of(cfg, "X"), _domain_of(cfg, "U")
+    f = parse_map(_need(cfg, "map"), X.dim)
+    x0 = parse_point_literal(_need(cfg, "x0"))
+    result = picard_solve(
+        f, X, U, x0, tol=cfg["tol"], max_iter=cfg["max_iter"], method=cfg["method"],
+        step_invariant=cfg["step_invariant"], override_range=cfg["override_range"],
+        samples=cfg["samples"], seed=cfg["seed"],
+    )
+    if cfg["trace"]:
+        trace_to_csv(result.trace, cfg["trace"])
+    return result.to_json()
+
+
+# name -> (help, handler, options read), each handler a function cfg -> result
+# dict.  An option is a name of _OPTIONS, or (name, choices) where the command
+# takes fewer choices than the option has.
+_COMMANDS = {
+    "metric": ("evaluate an infinitesimal metric", _metric,
+               ("domain", "point", "vector", "metric", "seed")),
+    "distance": ("evaluate a pseudodistance", _distance,
+                 ("domain", "a", "b", "kind", "seed")),
+    "diameter": ("invariant diameter of U inside X", _diameter,
+                 ("X", "U", "seed", "samples")),
+    "contraction": ("contraction certificate for U in X", _contraction,
+                    ("X", "U", "method", "seed", "samples")),
+    "verify": ("check the metric contraction inequality", _verify,
+               ("X", "U", "k", ("metric", _METRICS), "method", "seed", "samples")),
+    "fixpoint": ("Picard iteration to the fixed point", _fixpoint,
+                 ("X", "U", "map", "x0", "method", "trace", "step_invariant",
+                  "override_range", "seed", "samples", "tol", "max_iter")),
+}
+
+
+def _options(command: str):
+    """(name, type, default, choices) of each option the command reads."""
+    for entry in _COMMANDS[command][2]:
+        name, choices = entry if isinstance(entry, tuple) else (entry, None)
+        typ, default, all_choices = _OPTIONS[name]
+        yield name, typ, default, choices or all_choices
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="hypermetric", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_, _, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name, typ, _, choices in _options(command):
+            flag = "--" + name.replace("_", "-")
+            if typ is bool:
+                p.add_argument(flag, dest=name, action="store_true", default=None)
+            else:
+                p.add_argument(flag, dest=name, type=str if typ is dict else typ,
+                               choices=choices, default=None, help=_HELP.get(name))
+        for name in ("out", "config"):
+            p.add_argument("--" + name, default=None, help=_HELP[name])
+    return parser
+
+
+def _load_config(path: Optional[str]) -> dict:
+    if not path:
+        return {}
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
         else:
-            b = caratheodory_metric(d, point, vector, seed=cfg["seed"])
-        return cfg, b.to_json()
-    if cmd == "distance":
-        cfg = _resolve(args, file_cfg, ["domain", "a", "b", "kind", "seed"])
-        a = parse_point_literal(_need(cfg, "a"))
-        b = parse_point_literal(_need(cfg, "b"))
-        kind = cfg["kind"] or "caratheodory"
-        if kind == "poincare":
-            value = poincare_distance(a.coords[0], b.coords[0])
-            return cfg, {"value": value, "kind": "exact", "tol": 0.0}
-        d = _domain_of(cfg, "domain")
-        if kind == "caratheodory":
-            return cfg, caratheodory_distance(d, a, b, seed=cfg["seed"]).to_json()
-        metric = "kobayashi" if kind.endswith("kobayashi") else "caratheodory"
-        field = metric_field(d, metric)
-        return cfg, integrated_distance(field, d, a, b, seed=cfg["seed"]).to_json()
-    if cmd == "diameter":
-        cfg = _resolve(args, file_cfg, ["X", "U", "seed", "samples"])
-        X = _domain_of(cfg, "X")
-        U = _domain_of(cfg, "U")
-        M = caratheodory_diameter(X, U, samples=cfg["samples"], seed=cfg["seed"])
-        return cfg, M.to_json()
-    if cmd == "contraction":
-        cfg = _resolve(args, file_cfg, ["X", "U", "method", "seed", "samples"])
-        X = _domain_of(cfg, "X")
-        U = _domain_of(cfg, "U")
-        cert = certificate_for(
-            X, U, method=cfg["method"], samples=cfg["samples"], seed=cfg["seed"]
+            with open(path) as fh:
+                data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config {path!r}: {exc}") from None
+    if not isinstance(data, dict):
+        raise UsageError("a config file must hold one JSON object")
+    return data
+
+
+def _config_value(name: str, typ: type, choices, value):
+    """A config-file field read as its flag reads it: a string through the
+    flag's type, any other JSON value only if it has that type already (a
+    JSON int passes as a float)."""
+    read = value
+    if isinstance(value, str) and typ in (int, float):
+        try:
+            read = typ(value)
+        except ValueError:
+            pass
+    elif type(value) is int and typ is float:
+        read = float(value)
+    # a domain literal stays a string, as its flag keeps it
+    if not (type(read) is typ or typ is dict and type(read) is str):
+        expected = "str or dict" if typ is dict else typ.__name__
+        raise UsageError(
+            f"config field {name!r}: expected {expected}, got {json.dumps(value)}"
         )
-        return cfg, cert.to_json()
-    if cmd == "verify":
-        cfg = _resolve(
-            args, file_cfg, ["X", "U", "k", "metric", "method", "seed", "samples"]
+    if choices and read not in choices:
+        raise UsageError(
+            f"config field {name!r}: {json.dumps(value)} is not one of {list(choices)}"
         )
-        X = _domain_of(cfg, "X")
-        U = _domain_of(cfg, "U")
-        k = cfg["k"]
-        if k is None:
-            k = certificate_for(
-                X, U, method=cfg["method"], samples=cfg["samples"], seed=cfg["seed"]
-            ).k
-            cfg["k"] = k
-        report = verify_metric_contraction(
-            X, U, k, metric=cfg["metric"], samples=cfg["samples"], seed=cfg["seed"]
-        )
-        return cfg, report.to_json()
-    if cmd == "fixpoint":
-        cfg = _resolve(
-            args,
-            file_cfg,
-            [
-                "X", "U", "map", "x0", "method", "tol", "max_iter",
-                "step_invariant", "override_range", "trace", "seed", "samples",
-            ],
-        )
-        X = _domain_of(cfg, "X")
-        U = _domain_of(cfg, "U")
-        f = parse_map(_need(cfg, "map"), X.dim)
-        x0 = parse_point_literal(_need(cfg, "x0"))
-        result = picard_solve(
-            f,
-            X,
-            U,
-            x0,
-            tol=cfg["tol"],
-            max_iter=cfg["max_iter"],
-            method=cfg["method"],
-            step_invariant=bool(cfg["step_invariant"]),
-            override_range=bool(cfg["override_range"]),
-            samples=cfg["samples"],
-            seed=cfg["seed"],
-        )
-        if cfg["trace"]:
-            trace_to_csv(result.trace, cfg["trace"])
-        return cfg, result.to_json()
-    raise UsageError(f"unknown command {cmd!r}")
+    return read
+
+
+def _resolve(args, file_cfg: dict) -> dict:
+    """Flag > config file > default, collected into one provenance dict."""
+    cfg = {}
+    for name, typ, default, choices in _options(args.command):
+        val = getattr(args, name)
+        if val is None and file_cfg.get(name) is not None:
+            val = _config_value(name, typ, choices, file_cfg[name])
+        cfg[name] = default if val is None else val
+    return cfg
 
 
 def _emit(doc: dict, out_path: Optional[str]) -> None:
@@ -318,9 +314,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg, result = _dispatch(args)
-        doc = {"command": args.command, "config": cfg, "result": result}
-        _emit(doc, getattr(args, "out", None))
+        cfg = _resolve(args, _load_config(args.config))
+        result = _COMMANDS[args.command][1](cfg)
+        _emit({"command": args.command, "config": cfg, "result": result}, args.out)
         return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

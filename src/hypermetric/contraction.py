@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import (
+    DEFAULT_SAMPLES,
     Domain,
     Polydisc,
     _raise_outside,
@@ -82,7 +83,7 @@ class ContractionCertificate:
 def caratheodory_diameter(
     X: Domain,
     U: Domain,
-    samples: int = 512,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> Bound:
     """Diameter of U for the Carathéodory pseudodistance of X.
@@ -151,7 +152,7 @@ def certificate_for(
     X: Domain,
     U: Domain,
     method: str = DILATION,
-    samples: int = 512,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> ContractionCertificate:
     """Build a contraction certificate for the inclusion U in X."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,6 +78,13 @@ def _point_rows(points, dim: Optional[int] = None) -> np.ndarray:
     if not np.isfinite(Z).all():
         raise ArgumentError("coordinates must be finite")
     return Z
+
+
+def _count(name: str, value, least: int) -> int:
+    """value as an int; ArgumentError unless it is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def as_vector(v, n: int) -> np.ndarray:
@@ -354,23 +362,43 @@ def _rows_in(d: Domain, *points) -> np.ndarray:
     return Z
 
 
+def _json_field(data: dict, name: str, convert):
+    """convert(data[name]), raising ArgumentError that names the field if it
+    is missing or convert fails on it."""
+    where = f"{data['kind']} domain JSON"
+    if name not in data:
+        raise ArgumentError(f"{where} has no field {name!r}")
+    try:
+        return convert(data[name])
+    except (TypeError, ValueError, KeyError, IndexError):
+        raise ArgumentError(f"malformed field {name!r} in {where}") from None
+
+
 def domain_from_json(data: dict) -> Domain:
-    kind = data.get("kind")
-    if kind == "disk":
-        (c,) = data["centers"]
-        (r,) = data["radii"]
-        return Disk(complex(c[0], c[1]), r)
-    if kind == "polydisc":
-        centers = [complex(c[0], c[1]) for c in data["centers"]]
-        return Polydisc(centers, data["radii"])
+    """The Disk, Polydisc or SemiAnalytic of a to_json() object.  Raises
+    ArgumentError naming the field that is missing or malformed."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind in ("disk", "polydisc"):
+        centers = _json_field(data, "centers", lambda v: [complex(x, y) for x, y in v])
+        radii = _json_field(data, "radii", list)
+        if kind == "polydisc":
+            return Polydisc(centers, radii)
+        if len(centers) != 1 or len(radii) != 1:
+            raise ArgumentError("disk domain JSON needs one center and one radius")
+        return Disk(centers[0], radii[0])
     if kind == "semianalytic":
         from .holomap import parse
 
-        constraints = [
-            (parse(c["map"], c.get("dim", len(data["box"]))), c["threshold"])
-            for c in data["constraints"]
-        ]
-        return SemiAnalytic(constraints, data["box"])
+        # rows of (re_lo, re_hi, im_lo, im_hi)
+        box = _json_field(data, "box", lambda v: np.array(v, float).reshape(len(v), 4))
+
+        def constraints(v):
+            return [
+                (parse(c["map"], c.get("dim", len(box))), float(c["threshold"]))
+                for c in v
+            ]
+
+        return SemiAnalytic(_json_field(data, "constraints", constraints), box)
     raise ArgumentError(f"unknown domain kind {kind!r}")
 
 
@@ -469,7 +497,7 @@ class _Halton:
     whose import costs more than the rest of the package."""
 
     def __init__(self, d: int, seed: int):
-        self._perms = _halton_permutations(d, seed)
+        self._perms = _halton_permutations(d, _count("seed", seed, 0))
         self._drawn = 0
 
     def random(self, count: int) -> np.ndarray:
@@ -528,8 +556,7 @@ def sample(d: Domain, count: int, seed: int = 0) -> np.ndarray:
     its distance to the boundary is about 1% of the box scale, so suprema
     estimated on the sample are not interior-biased.
     """
-    if count < 1:
-        raise ArgumentError("count must be >= 1")
+    count = _count("count", count, 1)
     pts = _interior_sample(d, count, seed)
     delta = NEAR_BOUNDARY_FRACTION * d.box_scale()
     pts[3::4] = _push_to_boundary(d, _anchor_of(d), pts[3::4], delta)

@@ -22,7 +22,7 @@ from .contraction import (
     ContractionCertificate,
     certificate_for,
 )
-from .domains import Domain, Point, Polydisc, _rows_in
+from .domains import DEFAULT_SAMPLES, Domain, Point, Polydisc, _count, _rows_in
 from .errors import (
     ArgumentError,
     ConfigurationError,
@@ -124,7 +124,7 @@ def picard_solve(
     method: str = DILATION,
     step_invariant: bool = False,
     override_range: bool = False,
-    samples: int = 512,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> FixedPointResult:
     """Iterate x <- f(x) to the unique fixed point, with certified tail bounds.
@@ -133,14 +133,16 @@ def picard_solve(
     explicit override), x0 lies in X, and a contraction certificate for the
     inclusion U in X is obtainable.
 
-    Raises ArgumentError if f is not a self-map of X or x0 is not X.dim
-    finite coordinates, MembershipError if x0 is not in X, RangeError if the
-    range evidence is not supported and not overridden, PreconditionError if
-    an iterate leaves U, and NonConvergenceError, carrying the trace, if the
-    stopping rule has not fired within max_iter steps.
+    Raises ArgumentError if f is not a self-map of X, x0 is not X.dim
+    finite coordinates or max_iter is not an integer >= 0, MembershipError
+    if x0 is not in X, RangeError if the range evidence is not supported and
+    not overridden, PreconditionError if an iterate leaves U, and
+    NonConvergenceError, carrying the trace, if the stopping rule has not
+    fired within max_iter steps.
     """
     if f.n != X.dim or f.m != X.dim:
         raise ArgumentError("picard_solve needs a self-map of X")
+    max_iter = _count("max_iter", max_iter, 0)
     x0 = _rows_in(X, x0)[0]
     evidence = range_check(f, X, U, samples=samples, seed=seed)
     if evidence.verdict != SUPPORTED and not override_range:

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import (
+    DEFAULT_SAMPLES,
     Domain,
     Point,
     _point_rows,
@@ -523,7 +524,7 @@ def range_check(
     f: HoloMap,
     X: Domain,
     U: Domain,
-    samples: int = 512,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     margin_floor: Optional[float] = None,
 ) -> RangeEvidence:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from typing import Optional
 
 import numpy as np
@@ -25,6 +24,7 @@ from .domains import (
     SemiAnalytic,
     _BLOCK_POINTS,
     _anchor_of,
+    _count,
     _point_rows,
     _row_norms,
     _rows_in,
@@ -384,13 +384,6 @@ def metric_field(d: Domain, metric: str = "caratheodory", **opts) -> MetricField
 
 # ---------------------------------------------------------------------------
 # path length and integrated distance
-
-
-def _count(name: str, value, least: int) -> int:
-    """value as an int; ArgumentError unless it is an integer >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

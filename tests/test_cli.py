@@ -251,6 +251,97 @@ class TestConfigAndOutput:
         assert doc["result"]["value"] >= 0.95
 
 
+FIXPOINT = ["fixpoint", "--X", "disk:0,1", "--U", "disk:0,0.6", "--map", "z1/2",
+            "--x0", "0.5"]
+
+
+class TestConfigFields:
+    """A config-file field passes the type and choices of its flag."""
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["distance", "--domain", "disk:0,1", "--a", "0", "--b", "0.5"],
+             '{"kind": "kobayashi"}'),
+            (["metric", "--domain", "disk:0,1", "--point", "0", "--vector", "1"],
+             '{"metric": "bogus"}'),
+            (["verify", "--X", "disk:0,1", "--U", "disk:0,0.5", "--k", "0.8"],
+             '{"metric": "poincare"}'),
+            (FIXPOINT, '{"step_invariant": "false"}'),
+            (FIXPOINT, '{"tol": "tight"}'),
+            (["metric", "--domain", "disk:0,1", "--vector", "1"], '{"point": 0.5}'),
+            (["diameter", "--X", "disk:0,1", "--U", "disk:0,0.5"], '{"samples": 2.5}'),
+            (["diameter", "--X", "disk:0,1", "--U", "disk:0,0.5"], '{"seed": true}'),
+            (["diameter", "--U", "disk:0,0.5"], '{"X": 1}'),
+            (["diameter", "--X", "disk:0,1", "--U", "disk:0,0.5"], '{"samples": 64'),
+            (["diameter", "--X", "disk:0,1", "--U", "disk:0,0.5"], '["disk:0,1"]'),
+            (["diameter", "--X", "disk:0,1", "--U", "disk:0,0.5"], None),
+        ],
+    )
+    def test_bad_field_is_a_usage_error(self, capsys, tmp_path, argv, text):
+        # None: the config file does not exist
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, field, value",
+        [
+            (["verify", "--X", "disk:0,1", "--U", "disk:0,0.5", "--k", "0.8"],
+             "samples", 64),
+            (FIXPOINT, "tol", 1),
+            (FIXPOINT, "tol", "1e-8"),
+            (FIXPOINT, "max_iter", "400"),
+            (FIXPOINT, "step_invariant", True),
+            (FIXPOINT, "method", "tanh_diameter"),
+        ],
+    )
+    def test_field_reads_as_its_flag(self, capsys, tmp_path, argv, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        flag = "--" + field.replace("_", "-")
+        _, via_flag, _ = run_cli(
+            capsys, *argv, *([flag] if value is True else [flag, str(value)])
+        )
+        code, via_config, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0, err
+        assert via_config == via_flag
+
+    def test_domain_object_and_null_field(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"X": {"kind": "disk", "centers": [[0, 0]], "radii": [1]}, "seed": None}
+        ))
+        doc = run_json(capsys, "diameter", "--U", "disk:0,0.5", "--config", str(cfg))
+        assert doc["config"]["seed"] == 0
+        assert doc["result"]["value"] == pytest.approx(math.log(3))
+
+    def test_provenance_records_defaults(self, capsys):
+        doc = run_json(
+            capsys, "distance", "--domain", "disk:0,1", "--a", "0", "--b", "0.5"
+        )
+        assert doc["config"]["kind"] == "caratheodory"
+        doc = run_json(capsys, *FIXPOINT)
+        assert doc["config"]["step_invariant"] is False
+        assert doc["config"]["override_range"] is False
+        assert doc["config"]["tol"] == 1e-10 and doc["config"]["samples"] == 512
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--X", "disk:0,1", "--U", "disk:0,0.5", "--seed=-1"],
+             "seed must be an integer >= 0"),
+            ([*FIXPOINT, "--max-iter=-3"], "max_iter must be an integer >= 0"),
+        ],
+    )
+    def test_negative_counts(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and message in err
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, flag",
@@ -280,12 +371,14 @@ class TestExitCodes:
     def test_bad_domain_literal(self, capsys):
         for domain in (
             "annulus:0,1,2", "disk:0,inf", "polydisc:0;inf", "disk:0,abc", "polydisc:0;abc",
+            '{"kind": "disk"}', '{"kind": "disk", ',
         ):
             code, _, err = run_cli(
                 capsys, "metric", "--domain", domain, "--point", "0",
                 "--vector", "1", "--metric", "caratheodory",
             )
             assert code == 1, domain
+            assert err.startswith("usage error:"), domain
 
     def test_precondition_error(self, capsys):
         # point outside the domain

@@ -409,6 +409,11 @@ class TestSample:
         with pytest.raises(ArgumentError):
             sample(unit_disk(), 0)
 
+    @pytest.mark.parametrize("count", [2.5, True, "8"])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(ArgumentError, match="count must be an integer >= 1"):
+            sample(unit_disk(), count)
+
 
 class TestHalton:
     def test_recorded_scipy_values(self):
@@ -437,6 +442,14 @@ class TestHalton:
         ours, theirs = _Halton(d, seed), qmc.Halton(d=d, seed=seed)
         for count in (1, 37, 256, 5000):
             assert np.array_equal(ours.random(count), theirs.random(count))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, False, None])
+    def test_seed_must_be_a_count(self, seed):
+        with pytest.raises(ArgumentError, match="seed must be an integer >= 0"):
+            _Halton(2, seed)
+
+    def test_numpy_integer_seed(self):
+        assert np.array_equal(_Halton(2, np.int64(3)).random(4), _Halton(2, 3).random(4))
 
     def test_cli_import_loads_no_scipy(self):
         # the sampled paths too: competitors on 64 directions, a ray march on
@@ -554,3 +567,31 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(ArgumentError):
             domain_from_json({"kind": "annulus"})
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"kind": "disk", "radii": [1]}, "no field 'centers'"),
+            ({"kind": "polydisc", "centers": [[0, 0]]}, "no field 'radii'"),
+            ({"kind": "disk", "centers": [[0]], "radii": [1]}, "field 'centers'"),
+            ({"kind": "disk", "centers": [[0, "a"]], "radii": [1]}, "field 'centers'"),
+            ({"kind": "polydisc", "centers": [[0, 0]], "radii": 1}, "field 'radii'"),
+            ({"kind": "semianalytic", "box": [[-1, 1, -1, 1]]},
+             "no field 'constraints'"),
+            ({"kind": "semianalytic", "box": "abc", "constraints": []}, "field 'box'"),
+            ({"kind": "semianalytic", "box": 5, "constraints": []}, "field 'box'"),
+            ({"kind": "semianalytic", "box": [[-1, 1, -1]], "constraints": []},
+             "field 'box'"),
+            ({"kind": "semianalytic", "box": [[-1, 1, -1, 1]],
+              "constraints": [{"map": "z1"}]}, "field 'constraints'"),
+        ],
+    )
+    def test_missing_or_malformed_field_is_named(self, data, field):
+        with pytest.raises(ArgumentError, match=field):
+            domain_from_json(data)
+
+    def test_disk_needs_one_center_and_one_radius(self):
+        with pytest.raises(ArgumentError, match="one center and one radius"):
+            domain_from_json(
+                {"kind": "disk", "centers": [[0, 0], [1, 0]], "radii": [1, 1]}
+            )

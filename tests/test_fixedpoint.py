@@ -8,6 +8,7 @@ import pytest
 from hypermetric.contraction import TANH_DIAMETER, certificate_for
 from hypermetric.domains import Disk, Polydisc, SemiAnalytic, unit_disk
 from hypermetric.errors import (
+    ArgumentError,
     ConfigurationError,
     NonConvergenceError,
     RangeError,
@@ -104,6 +105,12 @@ class TestPicardSolve:
         trace = exc.value.trace
         assert len(trace) == 4
         assert trace.points[1, 0] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("max_iter", [-3, 2.5, True])
+    def test_max_iter_must_be_a_count(self, max_iter):
+        f, X, U = halving_problem()
+        with pytest.raises(ArgumentError, match="max_iter must be an integer >= 0"):
+            picard_solve(f, X, U, 0.5, max_iter=max_iter)
 
     def test_step_invariant_stop(self):
         f, X, U = halving_problem()
