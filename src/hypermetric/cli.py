@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 from typing import Optional
 
@@ -194,7 +195,7 @@ def _fixpoint(cfg: dict) -> dict:
         samples=cfg["samples"], seed=cfg["seed"],
     )
     if cfg["trace"]:
-        trace_to_csv(result.trace, cfg["trace"])
+        _write(cfg["trace"], lambda path: trace_to_csv(result.trace, path))
     return result.to_json()
 
 
@@ -301,11 +302,18 @@ def _resolve(args, file_cfg: dict) -> dict:
     return cfg
 
 
+def _write(path: str, write) -> None:
+    """write(path), an OSError from it (say, a missing directory) a usage error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def _emit(doc: dict, out_path: Optional[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        _write(out_path, lambda path: pathlib.Path(path).write_text(text))
     else:
         sys.stdout.write(text)
 

@@ -25,6 +25,7 @@ from .errors import (
     InclusionError,
     MembershipError,
     SamplingExhaustedError,
+    SingularityError,
     UnsupportedDomainError,
 )
 
@@ -258,7 +259,9 @@ class SemiAnalytic(Domain):
 
     def contains_many(self, Z) -> np.ndarray:
         """Box test first; each constraint is evaluated only on the rows that
-        passed the box and the constraints before it."""
+        passed the box and the constraints before it.  A pole of a
+        constraint is outside (|g| = inf >= t there): a batch that hits one
+        is finished row by row."""
         Z = self._check_rows(Z)
         b = self._box
         inside = np.all(
@@ -268,7 +271,10 @@ class SemiAnalytic(Domain):
         )
         for g, t in self.constraints:
             rows = np.flatnonzero(inside)
-            w = g.eval_array(Z[rows].T)[0]
+            try:
+                w = g.eval_array(Z[rows].T)[0]
+            except SingularityError:
+                w = np.array([_value_or_pole(g, z) for z in Z[rows]])
             # hypot rounds |w| as abs() of one complex does; np.abs may not
             inside[rows] = np.hypot(w.real, w.imag) < t
         return inside
@@ -347,6 +353,14 @@ class SemiAnalytic(Domain):
             ],
             "box": [list(map(float, row)) for row in self._box],
         }
+
+
+def _value_or_pole(g, z: np.ndarray) -> complex:
+    """The scalar map g at the point z, or inf where g has a pole."""
+    try:
+        return complex(g.eval_array(z)[0])
+    except SingularityError:
+        return complex(math.inf)
 
 
 def _raise_outside(d: Domain, Z: np.ndarray, outside: np.ndarray) -> None:

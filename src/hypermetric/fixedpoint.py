@@ -134,7 +134,8 @@ def picard_solve(
     inclusion U in X is obtainable.
 
     Raises ArgumentError if f is not a self-map of X, x0 is not X.dim
-    finite coordinates or max_iter is not an integer >= 0, MembershipError
+    finite coordinates, max_iter is not an integer >= 0 or tol is negative
+    or NaN (tol = 0 runs to max_iter), MembershipError
     if x0 is not in X, RangeError if the range evidence is not supported and
     not overridden, PreconditionError if an iterate leaves U, and
     NonConvergenceError, carrying the trace, if the stopping rule has not
@@ -143,6 +144,8 @@ def picard_solve(
     if f.n != X.dim or f.m != X.dim:
         raise ArgumentError("picard_solve needs a self-map of X")
     max_iter = _count("max_iter", max_iter, 0)
+    if not tol >= 0:
+        raise ArgumentError(f"tol must be a number >= 0, got {tol!r}")
     x0 = _rows_in(X, x0)[0]
     evidence = range_check(f, X, U, samples=samples, seed=seed)
     if evidence.verdict != SUPPORTED and not override_range:

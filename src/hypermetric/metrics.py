@@ -494,6 +494,24 @@ def _lengths_of(field: MetricField, stack: np.ndarray, order: int) -> np.ndarray
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_steps(n: int) -> np.ndarray:
+    """The (2n, 1, n) unit steps E along the 2n real coordinates of C^n, one
+    per block of k rows: 1 in each coordinate, then i in each.  Read-only."""
+    steps = np.concatenate([np.eye(n), 1j * np.eye(n)])[:, None, :]
+    steps.flags.writeable = False
+    return steps
+
+
+def _local_polylines(verts: np.ndarray, idx: np.ndarray, blocks: int) -> np.ndarray:
+    """A (blocks, k, 3, n) buffer of [left, mid, right] rows around the k =
+    idx.size vertices idx, one block per trial: left and right are written,
+    the mid column is left to the caller."""
+    buf = np.empty((blocks, idx.size, 3, verts.shape[1]), dtype=complex)
+    buf[:, :, 0], buf[:, :, 2] = verts[idx - 1], verts[idx + 1]
+    return buf
+
+
 def _relax_vertices(
     field: MetricField, verts: np.ndarray, idx: np.ndarray, order: int
 ) -> None:
@@ -503,47 +521,35 @@ def _relax_vertices(
     of [left, vertex, right]) depends on one moving vertex only and all of
     them are evaluated together.  Each of the 4 passes makes two batched
     calls: one for the +/- h probes along all d = 2n real coordinates, one
-    for each coordinate's candidate step where it is useful (parabolic, or
-    downhill on one side).  A vertex then moves to its shortest candidate,
-    ties going to the lowest coordinate, if that strictly shortens its local
-    objective.  Updates verts in place.
+    for each coordinate's candidate step.  A vertex then moves to its
+    shortest candidate whose step is useful (parabolic, or downhill on one
+    side), ties going to the lowest coordinate, if that strictly shortens
+    its local objective.  Updates verts in place.
 
-    The k = idx.size local polylines live in one ((2d + 1)k, 3, n) buffer of
-    [left, mid, right] rows: 2dk probe rows in (sign, coordinate, vertex)
-    order, then the k current vertices, which the first pass measures in
-    the same call as its probes.  Left and right are written once and each
-    pass writes only the mid column.  The candidates are the + probe rows of
-    the (coordinate, vertex) pairs that have one, with their own mid.
+    The local polylines are complex rows of one (3d + 1, k, 3, n) buffer
+    (`_local_polylines`): 2d blocks of probes cur +/- h·E in (sign,
+    coordinate) order, E the unit steps (`_unit_steps`); the current
+    vertices cur, measured in the first pass's probe call; and d blocks of
+    candidates cur + step·E, all measured, the rows whose step is not
+    useful then masked to inf.  A move copies its candidate row into cur.
     """
     n, k = verts.shape[1], idx.size
-    d = 2 * n
-    buf = np.empty(((2 * d + 1) * k, 3, n), dtype=complex)
-    ends = np.tile(idx, 2 * d + 1)
-    buf[:, 0], buf[:, 2] = verts[ends - 1], verts[ends + 1]
-    nprobe = 2 * d * k
-    probe_buf = buf[:nprobe]
-
-    x = np.concatenate([verts[idx].real, verts[idx].imag], axis=1)
-    np.add(x[:, :n], 1j * x[:, n:], out=buf[nprobe:, 1])
-    h = 0.25 * np.maximum(
-        np.abs(verts[idx] - buf[:k, 0]).max(axis=1),
-        np.abs(buf[:k, 2] - verts[idx]).max(axis=1),
-    )
-    probes = np.empty((2, d, k, d))
-    axes, rows = np.arange(d), np.arange(k)
+    d, E = 2 * n, _unit_steps(n)
+    buf = _local_polylines(verts, idx, 3 * d + 1)
+    probes = buf[: 2 * d].reshape(2, d, k, 3, n)
+    cur, cand = buf[2 * d, :, 1], buf[2 * d + 1 :]
+    cur[:] = verts[idx]
+    rows, nprobe = buf.reshape(-1, 3, n), 2 * d * k
+    # a quarter of the largest coordinate distance to either neighbour
+    h = 0.25 * np.abs(buf[2 * d, :, ::2] - cur[:, None]).max(axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _pass in range(4):
-            probes[:] = x
-            probes[0, axes, :, axes] += h
-            probes[1, axes, :, axes] -= h
-            flat = probes.reshape(-1, d)
-            np.add(flat[:, :n], 1j * flat[:, n:], out=probe_buf[:, 1])
+            np.add(cur, h[:, None] * E, out=probes[0, :, :, 1])
+            np.subtract(cur, h[:, None] * E, out=probes[1, :, :, 1])
+            f = _lengths_of(field, rows[: nprobe + (k if _pass == 0 else 0)], order)
             if _pass == 0:
-                f = _lengths_of(field, buf, order)
-                fprobe, f0 = f[:nprobe], f[nprobe:]
-            else:
-                fprobe = _lengths_of(field, probe_buf, order)
-            fp, fm = fprobe.reshape(2, d, k)
+                f0 = f[nprobe:]
+            fp, fm = f[:nprobe].reshape(2, d, k)
             curv = fp - 2 * f0 + fm
             parabolic = curv > 0
             # fmin/fmax drop a nan step (from inf probes) in favour of the
@@ -553,23 +559,17 @@ def _relax_vertices(
                 np.fmax(-3 * h, np.fmin(3 * h, 0.5 * h * (fm - fp) / curv)),
                 np.where(fp < fm, h, -h),
             )
-            useful = np.flatnonzero(parabolic | (fp < f0) | (fm < f0))
-            if useful.size:
-                q, i = np.divmod(useful, k)
-                xc = x[i]
-                xc[np.arange(useful.size), q] += step.ravel()[useful]
-                cand = buf[useful]
-                np.add(xc[:, :n], 1j * xc[:, n:], out=cand[:, 1])
-                fc = np.full(d * k, math.inf)
-                fc[useful] = _lengths_of(field, cand, order)
-                fc = fc.reshape(d, k)
-                best = fc.argmin(axis=0)
-                fbest = fc[best, rows]
+            useful = parabolic | (fp < f0) | (fm < f0)
+            if useful.any():
+                np.add(cur, step[:, :, None] * E, out=cand[:, :, 1])
+                fc = _lengths_of(field, rows[nprobe + k :], order).reshape(d, k)
+                fc = np.where(useful, fc, math.inf)
+                best, fbest = fc.argmin(axis=0), fc.min(axis=0)
                 move = np.flatnonzero(fbest < f0)
-                x[move, best[move]] += step[best[move], move]
+                cur[move] = cand[best[move], move, 1]
                 f0[move] = fbest[move]
             h = h * 0.35
-    verts[idx] = x[:, :n] + 1j * x[:, n:]
+    verts[idx] = cur
 
 
 def _midpoint_moves(
@@ -586,9 +586,8 @@ def _midpoint_moves(
     of `_relax_vertices` lengthens one of them.  Updates verts in place.
     """
     n, k = verts.shape[1], idx.size
-    left, mid, right = verts[idx - 1], verts[idx], verts[idx + 1]
-    buf = np.empty((MIDPOINT_STEPS.size + 1, k, 3, n), dtype=complex)
-    buf[:, :, 0], buf[:, :, 2] = left, right
+    buf = _local_polylines(verts, idx, MIDPOINT_STEPS.size + 1)
+    left, mid, right = buf[0, :, 0], verts[idx], buf[0, :, 2]
     buf[0, :, 1] = mid
     buf[1:, :, 1] = mid + MIDPOINT_STEPS[:, None, None] * (0.5 * (left + right) - mid)
     f = _lengths_of(field, buf.reshape(-1, 3, n), order).reshape(-1, k)

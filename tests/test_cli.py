@@ -199,6 +199,20 @@ class TestConfigAndOutput:
         doc = json.loads(path.read_text())
         assert doc["result"]["value"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["diameter", "--X", "disk:0,1", "--U", "disk:0,0.5"], "--out"),
+            (["fixpoint", "--X", "disk:0,1", "--U", "disk:0,0.6", "--map", "(z1^2+1)/4",
+              "--x0", "0"], "--trace"),
+        ],
+    )
+    def test_unwritable_path_is_a_usage_error(self, capsys, tmp_path, argv, flag):
+        path = str(tmp_path / "missing" / "o")
+        code, _, err = run_cli(capsys, *argv, flag, path)
+        assert code == 1
+        assert err.startswith(f"usage error: cannot write {path!r}")
+
     def test_config_file_supplies_options(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"domain": "disk:0,1", "point": "0.5", "vector": "1"}))
@@ -249,6 +263,20 @@ class TestConfigAndOutput:
         )
         assert doc["result"]["kind"] == "lower"
         assert doc["result"]["value"] >= 0.95
+
+    def test_integrated_caratheodory_caveat(self, capsys, tmp_path):
+        # the Moebius-cut disk of the CI workflow's semianalytic config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "domain": {"kind": "semianalytic", "box": [[-1.05, 1.05, -1.05, 1.05]],
+                       "constraints": [{"map": "(z1 - 0.2)/(1 - 0.2*z1)", "threshold": 1.0}]},
+            "a": "0", "b": "0.5",
+        }))
+        doc = run_json(
+            capsys, "distance", "--kind", "integrated-caratheodory", "--config", str(cfg)
+        )
+        assert doc["result"]["kind"] == "upper"
+        assert doc["result"]["caveat"] == "infimum of a lower-bound metric: value may undershoot"
 
 
 FIXPOINT = ["fixpoint", "--X", "disk:0,1", "--U", "disk:0,0.6", "--map", "z1/2",
@@ -335,6 +363,7 @@ class TestConfigFields:
             (["verify", "--X", "disk:0,1", "--U", "disk:0,0.5", "--seed=-1"],
              "seed must be an integer >= 0"),
             ([*FIXPOINT, "--max-iter=-3"], "max_iter must be an integer >= 0"),
+            ([*FIXPOINT, "--tol=-1"], "tol must be a number >= 0"),
         ],
     )
     def test_negative_counts(self, capsys, argv, message):

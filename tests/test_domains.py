@@ -73,6 +73,11 @@ def holed_disk():
     )
 
 
+def annulus():
+    """The annulus 0.3 < |z| < 1: the pole of 0.3/z1 is in its hole."""
+    return SemiAnalytic([(parse("z1", 1), 1.0), (parse("0.3/z1", 1), 1.0)], [WIDE_BOX])
+
+
 def scalar_membership(d, z):
     """Membership of one point as the scalar rule reads: the box, then
     |g(z)| < t with the map evaluated at that point alone."""
@@ -193,6 +198,18 @@ class TestContainsMany:
         Z[2, -1] = complex(0, float("inf"))
         Z[3, 0] = complex(float("-inf"), float("nan"))
         assert d.contains_many(Z).tolist() == [True, False, False, False]
+
+    @pytest.mark.parametrize(
+        "make, pole", [(annulus, 0j), (holed_disk, 0.37 + 0.11j)], ids=["annulus", "holed"]
+    )
+    def test_pole_is_outside(self, make, pole):
+        # |g| = inf >= t at a pole of a constraint g
+        d = make()
+        assert contains(d, pole) is False
+        Z = np.array([[0.5], [pole], [-0.7j], [pole + 0.1], [0.99], [2.0]])
+        got = d.contains_many(Z)
+        assert got.tolist() == [contains(d, z) for z in Z]
+        assert got.tolist() == [True, False, True, make is holed_disk, True, False]
 
     def test_empty_batch(self):
         assert moebius_bidisc().contains_many(np.zeros((0, 2))).shape == (0,)

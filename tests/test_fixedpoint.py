@@ -112,6 +112,13 @@ class TestPicardSolve:
         with pytest.raises(ArgumentError, match="max_iter must be an integer >= 0"):
             picard_solve(f, X, U, 0.5, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_tol_must_be_reachable(self, tol):
+        # no step is below a negative or NaN tol; tol = 0 stays legal
+        f, X, U = halving_problem()
+        with pytest.raises(ArgumentError, match="tol must be a number >= 0"):
+            picard_solve(f, X, U, 0.5, tol=tol)
+
     def test_step_invariant_stop(self):
         f, X, U = halving_problem()
         res = picard_solve(f, X, U, 0.5, tol=1e-8, step_invariant=True)

@@ -423,6 +423,21 @@ class TestIntegratedDistance:
         lengths = _lengths_of(field, np.stack([verts[:-1], verts[1:]], axis=1), 64)
         assert lengths.max() / lengths.min() <= 1.02
 
+    def test_two_leg_seed_around_a_hole(self):
+        # the straight segment from a to b crosses the hole of the annulus
+        # 0.3 < |z| < 1, so the seed is a two-leg path through a sampled point
+        A = SemiAnalytic([(parse("z1", 1), 1.0), (parse("0.3/z1", 1), 1.0)], [BOX])
+        a, b = 0.6, -0.6 + 0.05j
+        segment = a + np.linspace(0, 1, 101)[:, None] * (b - a)
+        assert not A.contains_many(segment).all()
+        got = integrated_distance(
+            metric_field(A, "caratheodory"), A, a, b, segments=4, refinements=0
+        )
+        assert math.isfinite(got.value) and got.kind == UPPER
+        # Schwarz-Pick for the same competitors: their distance is at most
+        # the length of any path in their metric
+        assert got.value >= caratheodory_distance(A, a, b).value
+
     def test_rounding_sized_loss_stops_refinement(self, monkeypatch):
         # the geodesic 0 -> 0.9 is straight, so the first level's descent
         # leaves the refined length within rounding of the seed's
