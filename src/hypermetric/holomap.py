@@ -2,14 +2,17 @@
 
 Grammar: complex literals (0.5, 2i, 1+2i), variables z1..zn, the operators
 + - * / ^ (nonnegative integer exponents) and parentheses; components are
-separated by ";".  Derivatives are forward-mode dual numbers over complex
-scalars, exact to rounding; finite differences exist only as a test oracle.
+separated by ";".  A literal or folded constant must be finite.  Derivatives
+are forward-mode dual numbers over complex scalars, exact to rounding; finite
+differences exist only as a test oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
+import operator
 import re
 from typing import Optional
 
@@ -85,6 +88,10 @@ def _fmt_real(x: float) -> str:
 class Const(Expr):
     value: complex
 
+    def __post_init__(self):
+        if not cmath.isfinite(self.value):
+            raise ArgumentError(f"constant {self.value} is not finite")
+
     def eval(self, z):
         return self.value
 
@@ -144,90 +151,45 @@ class Neg(Expr):
         return "-" + self._child_text(self.a, 2)
 
 
+def _quotient(a, b):
+    if np.any(np.abs(b) < SINGULARITY_FLOOR):
+        raise SingularityError("division by a near-zero complex value")
+    return a / b
+
+
+def _quotient_dual(av, ad, bv, bd):
+    q = _quotient(av, bv)
+    return q, (ad - _mul(q, bd)) / bv
+
+
+# op: (precedence, value rule (a, b), dual rule (av, ad, bv, bd) -> (value, derivative))
+_RULES = {
+    "+": (0, operator.add, lambda av, ad, bv, bd: (av + bv, ad + bd)),
+    "-": (0, operator.sub, lambda av, ad, bv, bd: (av - bv, ad - bd)),
+    "*": (1, _mul, lambda av, ad, bv, bd: (_mul(av, bv), _mul(ad, bv) + _mul(av, bd))),
+    "/": (1, _quotient, _quotient_dual),
+}
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
-class Add(Expr):
+class Binary(Expr):
+    op: str  # a key of _RULES
     a: Expr
     b: Expr
 
     def eval(self, z):
-        return self.a.eval(z) + self.b.eval(z)
+        return _RULES[self.op][1](self.a.eval(z), self.b.eval(z))
 
     def eval_dual(self, z, v):
-        av, ad = self.a.eval_dual(z, v)
-        bv, bd = self.b.eval_dual(z, v)
-        return av + bv, ad + bd
+        return _RULES[self.op][2](*self.a.eval_dual(z, v), *self.b.eval_dual(z, v))
 
     def precedence(self):
-        return 0
+        return _RULES[self.op][0]
 
     def to_text(self):
-        return self._child_text(self.a, 0) + " + " + self._child_text(self.b, 1)
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class Sub(Expr):
-    a: Expr
-    b: Expr
-
-    def eval(self, z):
-        return self.a.eval(z) - self.b.eval(z)
-
-    def eval_dual(self, z, v):
-        av, ad = self.a.eval_dual(z, v)
-        bv, bd = self.b.eval_dual(z, v)
-        return av - bv, ad - bd
-
-    def precedence(self):
-        return 0
-
-    def to_text(self):
-        return self._child_text(self.a, 0) + " - " + self._child_text(self.b, 1)
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class Mul(Expr):
-    a: Expr
-    b: Expr
-
-    def eval(self, z):
-        return _mul(self.a.eval(z), self.b.eval(z))
-
-    def eval_dual(self, z, v):
-        av, ad = self.a.eval_dual(z, v)
-        bv, bd = self.b.eval_dual(z, v)
-        return _mul(av, bv), _mul(ad, bv) + _mul(av, bd)
-
-    def precedence(self):
-        return 1
-
-    def to_text(self):
-        return self._child_text(self.a, 1) + "*" + self._child_text(self.b, 2)
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class Div(Expr):
-    a: Expr
-    b: Expr
-
-    def eval(self, z):
-        den = self.b.eval(z)
-        if np.any(np.abs(den) < SINGULARITY_FLOOR):
-            raise SingularityError("division by a near-zero complex value")
-        return self.a.eval(z) / den
-
-    def eval_dual(self, z, v):
-        bv, bd = self.b.eval_dual(z, v)
-        if np.any(np.abs(bv) < SINGULARITY_FLOOR):
-            raise SingularityError("division by a near-zero complex value")
-        av, ad = self.a.eval_dual(z, v)
-        q = av / bv
-        return q, (ad - _mul(q, bd)) / bv
-
-    def precedence(self):
-        return 1
-
-    def to_text(self):
-        return self._child_text(self.a, 1) + "/" + self._child_text(self.b, 2)
+        p = self.precedence()
+        sep = f" {self.op} " if p == 0 else self.op
+        return self._child_text(self.a, p) + sep + self._child_text(self.b, p + 1)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -253,29 +215,30 @@ class Pow(Expr):
 
 
 # Smart constructors fold constant subtrees (except quotients, whose
-# zero denominators must surface at evaluation time, not parse time).
+# zero denominators must surface at evaluation time, not parse time).  A
+# folded constant that is not finite raises ArgumentError, as Const does.
+
+
+def _binary(op: str, a: Expr, b: Expr) -> Expr:
+    if op != "/" and isinstance(a, Const) and isinstance(b, Const):
+        return Const(_RULES[op][1](a.value, b.value))
+    return Binary(op, a, b)
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return Add(a, b)
+    return _binary("+", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    return Sub(a, b)
+    return _binary("-", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    return Mul(a, b)
+    return _binary("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    return Div(a, b)
+    return _binary("/", a, b)
 
 
 def neg(a: Expr) -> Expr:
@@ -288,7 +251,10 @@ def pow_(a: Expr, k: int) -> Expr:
     if k < 0:
         raise ArgumentError("exponent must be a nonnegative integer")
     if isinstance(a, Const):
-        return Const(a.value**k)
+        try:
+            return Const(a.value**k)
+        except OverflowError:
+            raise ArgumentError(f"constant to the power {k} is not finite") from None
     return Pow(a, k)
 
 
@@ -388,27 +354,26 @@ class _Parser:
             raise ParseError(f"unexpected token {val!r}", off)
         return HoloMap(self.n, tuple(comps))
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                node = add(node, rhs) if val == "+" else sub(node, rhs)
-            else:
-                return node
+    def make(self, off: int, build, *args) -> Expr:
+        """build(*args), its ArgumentError (a constant that is not finite)
+        a ParseError at offset off."""
+        try:
+            return build(*args)
+        except ArgumentError as exc:
+            raise ParseError(str(exc), off) from None
 
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
+    def parse_expr(self) -> Expr:
+        return self.parse_left("+-", lambda: self.parse_left("*/", self.parse_unary))
+
+    def parse_left(self, ops: str, operand) -> Expr:
+        """operand (op operand)* for op in ops, grouped from the left."""
+        node = operand()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.parse_unary()
-                node = mul(node, rhs) if val == "*" else div(node, rhs)
-            else:
+            kind, val, off = self.peek()
+            if kind != "op" or val not in ops:
                 return node
+            self.advance()
+            node = self.make(off, _binary, val, node, operand())
 
     def parse_unary(self) -> Expr:
         kind, val, _ = self.peek()
@@ -422,11 +387,10 @@ class _Parser:
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
-        kind, val, _ = self.peek()
+        kind, val, off = self.peek()
         if kind == "op" and val == "^":
             self.advance()
-            k = self.parse_exponent()
-            return pow_(base, k)
+            return self.make(off, pow_, base, self.parse_exponent())
         return base
 
     def parse_exponent(self) -> int:
@@ -442,8 +406,8 @@ class _Parser:
             if val == "i":
                 return Const(1j)
             if val.endswith("i"):
-                return Const(complex(0.0, float(val[:-1])))
-            return Const(complex(float(val)))
+                return self.make(off, Const, complex(0.0, float(val[:-1])))
+            return self.make(off, Const, complex(float(val)))
         if kind == "var":
             j = int(val[1:])
             if not (1 <= j <= self.n):
@@ -480,14 +444,8 @@ def compose(f: HoloMap, g: HoloMap) -> HoloMap:
             return subs[e.index]
         if isinstance(e, Neg):
             return neg(rewrite(e.a))
-        if isinstance(e, Add):
-            return add(rewrite(e.a), rewrite(e.b))
-        if isinstance(e, Sub):
-            return sub(rewrite(e.a), rewrite(e.b))
-        if isinstance(e, Mul):
-            return mul(rewrite(e.a), rewrite(e.b))
-        if isinstance(e, Div):
-            return div(rewrite(e.a), rewrite(e.b))
+        if isinstance(e, Binary):
+            return _binary(e.op, rewrite(e.a), rewrite(e.b))
         if isinstance(e, Pow):
             return pow_(rewrite(e.base), e.exponent)
         raise TypeError(f"unknown node {e!r}")
@@ -548,10 +506,7 @@ __all__ = [
     "Const",
     "Var",
     "Neg",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
+    "Binary",
     "Pow",
     "HoloMap",
     "RangeEvidence",

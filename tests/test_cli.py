@@ -430,3 +430,26 @@ class TestExitCodes:
             "--x0", "0.1",
         )
         assert code == 2
+
+    def test_non_finite_constant_in_map(self, capsys):
+        code, out, err = run_cli(
+            capsys, "fixpoint", "--X", "disk:0,1", "--U", "disk:0,0.6",
+            "--map", "2^2000*z1", "--x0", "0",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "offset 1" in err
+
+    def test_non_finite_constant_in_constraint(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "domain": {
+                "kind": "semianalytic",
+                "constraints": [{"map": "1e999*z1", "threshold": 1.0}],
+                "box": [[-1, 1, -1, 1]],
+            },
+            "point": "0.3",
+            "vector": "1",
+        }))
+        code, out, err = run_cli(capsys, "metric", "--metric", "kobayashi", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "offset 0" in err

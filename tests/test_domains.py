@@ -32,6 +32,7 @@ from hypermetric.errors import (
     ArgumentError,
     InclusionError,
     MembershipError,
+    UnsupportedDomainError,
 )
 from hypermetric.fixedpoint import picard_solve
 from hypermetric.holomap import parse
@@ -129,6 +130,27 @@ class TestPolydisc:
             Polydisc([0, 0], [1.0, radius])
         with pytest.raises(ArgumentError):
             Disk(0, radius)
+
+
+class TestSemiAnalyticArguments:
+    @pytest.mark.parametrize(
+        "constraints, box, message",
+        [
+            ([(parse("z1; z1", 1), 1.0)], [WIDE_BOX], "scalar-valued"),
+            ([(parse("z1", 1), 0.0)], [WIDE_BOX], "positive finite"),
+            ([(parse("z1", 1), math.inf)], [WIDE_BOX], "positive finite"),
+            ([(parse("z1", 1), 1.0)], [WIDE_BOX[:3]], "rows of"),
+            ([(parse("z1", 1), 1.0)], [[1, -1, -1, 1]], "nondegenerate"),
+            ([(parse("z1", 2), 1.0)], [WIDE_BOX], "dimension does not match"),
+        ],
+    )
+    def test_rejects(self, constraints, box, message):
+        with pytest.raises(ArgumentError, match=message):
+            SemiAnalytic(constraints, box)
+
+    def test_rejects_unbounded_box(self):
+        with pytest.raises(UnsupportedDomainError, match="finite"):
+            SemiAnalytic([(parse("z1", 1), 1.0)], [[-math.inf, 1, -1, 1]])
 
 
 class TestContains:

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import time
 
@@ -11,6 +12,7 @@ from hypermetric.errors import (
     ArgumentError,
     ConfigurationError,
     NonConvergenceError,
+    PreconditionError,
     RangeError,
 )
 from hypermetric.fixedpoint import (
@@ -97,6 +99,12 @@ class TestPicardSolve:
             certificate=certificate_for(unit_disk(), Disk(0, 0.7)),
         )
         assert abs(res.c.coords[0]) < 1e-9
+
+    def test_overridden_range_iterate_leaves_u(self):
+        # f(0) = 0.7 is outside U; the refuted range evidence is overridden
+        with pytest.raises(PreconditionError, match="iterate 1 left U") as exc:
+            picard_solve(parse("z1/2 + 0.7", 1), unit_disk(), Disk(0, 0.6), 0, override_range=True)
+        assert not isinstance(exc.value, RangeError)
 
     def test_nonconvergence_carries_trace(self):
         f, X, U = halving_problem()
@@ -199,6 +207,20 @@ class TestVerifyDecay:
         assert report.verdict == CONSISTENT
         # the empirical contraction factor of z/2 near 0 is 1/2
         assert report.ratios[-1] == pytest.approx(0.5, abs=1e-3)
+
+    def test_to_json(self):
+        f, X, U = halving_problem()
+        res = picard_solve(f, X, U, 0.9)
+        report = verify_decay(res.trace, res.certificate.k)
+        doc = json.loads(json.dumps(report.to_json()))
+        assert doc == {
+            "verdict": CONSISTENT,
+            "k": report.k,
+            "distances": [b.value for b in report.distances],
+            "ratios": list(report.ratios),
+            "flags": list(report.flags),
+        }
+        assert len(doc["distances"]) == len(doc["flags"]) == len(res.trace.points) - 1
 
     def test_explicit_distance(self):
         f, X, U = halving_problem()

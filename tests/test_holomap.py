@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff_jvp, random_disk_selfmaps
+from hypermetric.contraction import dilate_disk
 from hypermetric.domains import Disk, Point, Polydisc, unit_disk
 from hypermetric.errors import ArgumentError, ParseError, SingularityError
 from hypermetric.holomap import (
@@ -11,6 +12,7 @@ from hypermetric.holomap import (
     REFUTED,
     SUPPORTED,
     Const,
+    Expr,
     HoloMap,
     Var,
     add,
@@ -67,6 +69,60 @@ class TestParse:
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             parse("z1 @ 2", 1)
+
+    def test_unary_plus(self):
+        assert parse("+z1 * +2", 1) == parse("z1*2", 1)
+
+    def test_missing_close_paren(self):
+        with pytest.raises(ParseError, match=r"expected '\)'") as exc:
+            parse("(z1 + 1", 1)
+        assert exc.value.offset == 7
+
+    def test_trailing_token(self):
+        with pytest.raises(ParseError, match="unexpected token 'z2'") as exc:
+            parse("z1 z2", 2)
+        assert exc.value.offset == 3
+
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ArgumentError):
+            parse("1", 0)
+
+    def test_negative_power_rejected_from_code(self):
+        with pytest.raises(ArgumentError):
+            pow_(Var(0), -1)
+
+
+class TestNonFiniteConstants:
+    """A literal or folded constant that is not finite is an input error:
+    a ParseError at the offset of the literal or the operator."""
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("1e999", 0),
+            ("z1 + 1e400i", 5),
+            ("1e300*1e300*z1", 5),
+            ("(1e308+1e308)*0", 6),
+            ("2^2000*z1", 1),
+        ],
+    )
+    def test_parse_error_at_offset(self, text, offset):
+        with pytest.raises(ParseError, match="not finite") as exc:
+            parse(text, 1)
+        assert exc.value.offset == offset
+
+    def test_const_rejects_nan(self):
+        with pytest.raises(ArgumentError):
+            Const(complex(0.0, float("nan")))
+
+    def test_compose_fold_overflows(self):
+        with pytest.raises(ArgumentError, match="not finite"):
+            compose(parse("z1*z1", 1), parse("1e200", 1))
+
+    def test_dilate_disk_overflows(self):
+        # the factor 1 + r/R is infinite
+        with pytest.raises(ArgumentError, match="not finite"):
+            dilate_disk(parse("z1/2", 1), 1.0, 1e-310)
 
 
 class TestEval:
@@ -141,6 +197,29 @@ class TestCompose:
         with pytest.raises(ArgumentError):
             compose(parse("z1; z1", 1), parse("z1; z2", 2))
 
+    def test_every_node_kind(self):
+        # constants, variables, unary minus, + - * / and powers in f; g has no
+        # constant component, so nothing folds and the values agree bitwise
+        f = parse("-(z1 + 2)^3 - 0.5i*z2 + z1/(z2 - 3); (z1 - z2)^2 * z2 + 1", 2)
+        g = parse("z1*z2 + 0.1; z1/2 - 0.2i", 2)
+        h = compose(f, g)
+        for p in ((0.3, 0.1j), (-0.5 + 0.2j, 0.7), (1j, -1)):
+            assert h.eval(p).coords == f.eval(g.eval(p)).coords
+
+    def test_constant_inner_map_folds(self):
+        f = parse("-(z1 + 2)^3 - z1*z2 + z1/(z2 - 3)", 2)
+        g = parse("0.5; -1", 2)
+        h = compose(f, g)
+        assert h.components[0].to_text() == "-15.125 + 0.5/-4"
+        assert h.eval((0, 0)).coords[0] == pytest.approx(f.eval(g.eval((0, 0))).coords[0], abs=1e-15)
+
+    def test_unknown_node(self):
+        class Unknown(Expr):
+            pass
+
+        with pytest.raises(TypeError, match="unknown node"):
+            compose(HoloMap(1, (Unknown(),)), identity_map(1))
+
 
 # expression strategy in the parser's folded normal form
 _consts = st.one_of(
@@ -173,6 +252,22 @@ class TestPrinterRoundTrip:
     def test_map_roundtrip(self):
         f = parse("z1*z2 - (1+2i)*z2^3; z1/(z2 - 0.5)", 2)
         assert parse(f.to_text(), 2) == f
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("(z1 - z2) - (z1 - z2)", "z1 - z2 - (z1 - z2)"),
+            ("z1/(z2*z1)", "z1/(z2*z1)"),
+            ("(z1/z2)*z1", "z1/z2*z1"),
+            ("-(z1 + 1)^2", "-(z1 + 1)^2"),
+            ("(-z1)^2 - -z2", "(-z1)^2 - -z2"),
+            ("z1 - (2 - 1i)", "z1 - (2-1i)"),
+        ],
+    )
+    def test_precedence_roundtrip(self, text, printed):
+        f = parse(text, 2)
+        assert f.to_text() == printed
+        assert parse(printed, 2) == f
 
 
 # every node kind: constants, variables, +, -, *, /, unary minus, the
