@@ -39,8 +39,13 @@ INCLUSION_FLOOR = 1e-9
 # most points that one membership call of a batched routine tests, and most
 # values that one block of such a routine holds
 _BLOCK_POINTS = 2**16
-# march steps per box diagonal in SemiAnalytic._ray_exit
+# march steps per box diagonal in SemiAnalytic._march
 _RAY_STEPS = 64
+# SemiAnalytic._refine splits each exit bracket into _REFINE_SPLIT equal parts
+# per membership call, for _REFINE_ROUNDS calls: 8**10 = 2**30, so a bracket
+# ends 2**-30 of a march step wide
+_REFINE_SPLIT = 8
+_REFINE_ROUNDS = 10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -288,11 +293,13 @@ class SemiAnalytic(Domain):
             self._anchor = _interior_sample(self, 1, seed=0)[0]
         return self._anchor
 
-    def _ray_exit(self, z: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """Distance along each unit direction (row of U) at which membership
-        first fails: a march in steps of box_diagonal/_RAY_STEPS, then 30
-        bisection steps taken by all exiting rays together.  The origin z is
-        one point (n,) shared by every ray, or one row per ray (len(U), n)."""
+    def _march(self, z: np.ndarray, U: np.ndarray) -> tuple:
+        """Bracket (lo, hi) of the first exit along each unit direction (row
+        of U), from one membership call: a march in steps of
+        box_diagonal/_RAY_STEPS, with hi the first point outside and lo the
+        point before it (0 for the origin).  A ray that never leaves gets
+        lo = hi = box_diagonal.  The origin z is one point (n,) shared by
+        every ray, or one row per ray (len(U), n)."""
         t_max = self.box_diagonal()
         step = t_max / _RAY_STEPS
         # cumsum adds step by step, as a running t += step would
@@ -300,31 +307,66 @@ class SemiAnalytic(Domain):
         ts = ts[ts <= t_max + step]
         march = z[..., None, :] + ts[None, :, None] * U[:, None, :]
         out = ~self.contains_many(march.reshape(-1, self.dim)).reshape(len(U), len(ts))
-        exits = np.full(len(U), t_max)
-        rays = np.flatnonzero(out.any(axis=1))
-        first = out[rays].argmax(axis=1)
-        lo = np.where(first > 0, ts[first - 1], 0.0)
-        hi = ts[first]
+        leaves = out.any(axis=1)
+        first = out.argmax(axis=1)
+        lo = np.where(leaves, np.where(first > 0, ts[first - 1], 0.0), t_max)
+        hi = np.where(leaves, ts[first], t_max)
+        return lo, hi
+
+    def _refine(self, z: np.ndarray, U: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The exit brackets of _march narrowed to 2**-30 of their width, and
+        their inside ends returned (lo where lo = hi).  Each of _REFINE_ROUNDS
+        rounds tests, in one membership call, the _REFINE_SPLIT - 1 interior
+        points of _REFINE_SPLIT equal parts of every bracket; the new bracket
+        runs from the last of them inside before the first outside to that
+        one, or from the last to hi if all are inside.  So lo is always a
+        point that tested inside, and hi one that tested outside."""
+        lo = lo.copy()
+        rays = np.flatnonzero(lo < hi)
+        if not len(rays):
+            return lo
         origins = np.broadcast_to(z, U.shape)[rays]
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            ok = self.contains_many(origins + mid[:, None] * U[rays])
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        exits[rays] = lo
-        return exits
+        U = U[rays]
+        a, b = lo[rays], hi[rays]
+        k = np.arange(1, _REFINE_SPLIT)
+        every = np.arange(len(rays))
+        for _ in range(_REFINE_ROUNDS):
+            ts = a[:, None] + k * ((b - a) / _REFINE_SPLIT)[:, None]
+            pts = origins[:, None, :] + ts[:, :, None] * U[:, None, :]
+            out = ~self.contains_many(pts.reshape(-1, self.dim)).reshape(ts.shape)
+            # with hi appended as an outside point, the first outside is at
+            # index f and the bracket is [points[f], points[f + 1]]
+            f = np.column_stack([out, np.ones(len(rays), dtype=bool)]).argmax(axis=1)
+            points = np.column_stack([a, ts, b])
+            a, b = points[every, f], points[every, f + 1]
+        lo[rays] = a
+        return lo
+
+    def _ray_exit(self, z: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """Distance along each unit direction (row of U) at which membership
+        first fails, as a point that tested inside within 2**-30 of a march
+        step of it: _march, then _refine of every ray.  The origin z is one
+        point (n,) shared by every ray, or one row per ray (len(U), n)."""
+        return self._refine(z, U, *self._march(z, U))
 
     def _shortest_exits(self, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
         """For each row i of Z (N, n), the smallest _ray_exit from Z[i] over
-        the K unit directions D[i] of the (N, K, n) array D.  Rows go through
-        in blocks so that one march tests at most _BLOCK_POINTS points."""
+        the K unit directions D[i] of the (N, K, n) array D, bit for bit.
+        Every ray is marched, but only the rays whose lo lies below the
+        smallest hi among their row's rays are refined: a ray's exit is at
+        least its lo, and the ray of that hi exits before it.  Rows go
+        through in blocks so that one march tests at most _BLOCK_POINTS
+        points."""
         K = D.shape[1]
         step = max(1, _BLOCK_POINTS // (K * (_RAY_STEPS + 2)))
         out = np.empty(len(Z))
         for start in range(0, len(Z), step):
-            z, u = Z[start : start + step], D[start : start + step]
-            exits = self._ray_exit(np.repeat(z, K, axis=0), u.reshape(-1, self.dim))
-            out[start : start + step] = exits.reshape(len(z), K).min(axis=1)
+            z = np.repeat(Z[start : start + step], K, axis=0)
+            u = D[start : start + step].reshape(-1, self.dim)
+            lo, hi = self._march(z, u)
+            rays = np.flatnonzero(lo < np.repeat(hi.reshape(-1, K).min(axis=1), K))
+            lo[rays] = self._refine(z[rays], u[rays], lo[rays], hi[rays])
+            out[start : start + step] = lo.reshape(-1, K).min(axis=1)
         return out
 
     def boundary_distance(self, p, directions: int = 32) -> float:

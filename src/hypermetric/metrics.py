@@ -346,9 +346,11 @@ class AnalyticDiskField(MetricField):
     u = v/|v|, in the domain: the disk fits exactly when every ray
     z + t·e^{i theta}·u with t < rho stays inside, so rho is the shortest
     exit over the rays.  It is sampled: the shortest of 32 rays, at the
-    angles of _DISK_ANGLES, each exit found by a march and a bisection
-    (SemiAnalytic._ray_exit).  The disk may poke out of the domain between
-    the rays, which would make the value fall below the true metric.
+    angles of _DISK_ANGLES (SemiAnalytic._shortest_exits): one march brackets
+    every ray's exit, and only the rays that can be shortest are refined, to
+    a point inside within 2**-30 of a march step.  The disk may poke out of
+    the domain between the rays, which would make the value fall below the
+    true metric.
     """
 
     kind = UPPER

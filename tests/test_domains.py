@@ -261,8 +261,9 @@ class TestBoundaryDistance:
 
     @pytest.mark.parametrize("make", [moebius_disk, moebius_bidisc, holed_disk])
     def test_rays_match_one_point_march(self, make):
-        # reference: march in box_diagonal/64 steps, then bisect 30 times,
-        # one membership test per point
+        # reference: march in box_diagonal/64 steps, then 10 rounds that
+        # split the bracket into 8 equal parts and keep the part of the first
+        # point outside, one membership test per point
         def one_ray(d, z, u):
             t_max = d.box_diagonal()
             step = t_max / 64
@@ -270,9 +271,15 @@ class TestBoundaryDistance:
             while t <= t_max + step:
                 if not contains(d, z + t * u):
                     lo, hi = prev, t
-                    for _ in range(30):
-                        mid = 0.5 * (lo + hi)
-                        lo, hi = (mid, hi) if contains(d, z + mid * u) else (lo, mid)
+                    for _ in range(10):
+                        width = (hi - lo) / 8
+                        for k in range(1, 8):
+                            p = lo + k * width
+                            if not contains(d, z + p * u):
+                                lo, hi = (lo + (k - 1) * width if k > 1 else lo), p
+                                break
+                        else:
+                            lo = lo + 7 * width
                     return lo
                 prev = t
                 t += step
@@ -311,6 +318,72 @@ def reference_boundary_distances(d, Z, directions):
         U = _sphere_directions(d.dim, directions, seed=1)
         out.append(GAP_SAFETY * min(box_gap, float(d._ray_exit(z, U).min())))
     return out
+
+
+def disk_exits(z, U):
+    """Exact exit of the unit disk along each unit direction u from z: the
+    positive root t of |z + t·u| = 1."""
+    b = (np.conj(z) * U).real
+    return -b + np.sqrt(b**2 + 1 - abs(z) ** 2)
+
+
+class TestRayExit:
+    ORIGINS = (0, 0.5, -0.3 + 0.4j, 0.9j, 0.99)
+
+    def rays(self):
+        return np.exp(1j * (np.arange(64) + 0.25) * (2 * np.pi / 64))[:, None]
+
+    def test_exits_match_closed_form(self):
+        # the refined exit is a point inside, within 2**-30 of a march step
+        # below the true exit
+        d = SemiAnalytic([(parse("z1", 1), 1.0)], [WIDE_BOX])
+        width = d.box_diagonal() / _RAY_STEPS / 2**30
+        U = self.rays()
+        for z in self.ORIGINS:
+            gap = disk_exits(z, U[:, 0]) - d._ray_exit(np.array([z], dtype=complex), U)
+            assert np.all(gap >= 0) and np.all(gap <= width)
+
+    def test_shortest_exits_match_closed_form(self):
+        d = SemiAnalytic([(parse("z1", 1), 1.0)], [WIDE_BOX])
+        width = d.box_diagonal() / _RAY_STEPS / 2**30
+        U = self.rays()
+        Z = np.array(self.ORIGINS, dtype=complex)[:, None]
+        got = d._shortest_exits(Z, np.broadcast_to(U, (len(Z),) + U.shape))
+        gap = np.array([disk_exits(z, U[:, 0]).min() for z in self.ORIGINS]) - got
+        assert np.all(gap >= 0) and np.all(gap <= width)
+
+    @pytest.mark.parametrize("make", [moebius_bidisc, holed_disk, annulus])
+    def test_shortest_exits_are_row_minima(self, make):
+        # only the rays that can be shortest are refined, and the minimum
+        # stays that of every ray refined
+        d = make()
+        Z = sample(d, 40, seed=6)
+        D = _sphere_directions(d.dim, 24, seed=2)
+        D = np.stack([np.roll(D, i, axis=0) * np.exp(0.1j * i) for i in range(len(Z))])
+        want = [d._ray_exit(z, u).min() for z, u in zip(Z, D)]
+        assert d._shortest_exits(Z, D).tolist() == want
+
+    def test_empty_ray_sets(self):
+        d = moebius_bidisc()
+        assert d._ray_exit(np.zeros(2), np.zeros((0, 2))).shape == (0,)
+        assert d._shortest_exits(np.zeros((0, 2)), np.zeros((0, 8, 2))).shape == (0,)
+
+    def test_membership_calls(self, monkeypatch):
+        # one march and ten refinement rounds per ray set: the counts do not
+        # depend on the machine
+        calls = []
+        contains_many = SemiAnalytic.contains_many
+
+        def counted(self, Z):
+            calls.append(len(Z))
+            return contains_many(self, Z)
+
+        monkeypatch.setattr(SemiAnalytic, "contains_many", counted)
+        hypermetric.kobayashi_metric(moebius_disk(), 0.3, 1)
+        assert len(calls) <= 12
+        calls.clear()
+        hypermetric.certificate_for(moebius_disk(), Disk(0, 0.5))
+        assert len(calls) <= 24
 
 
 class TestBoundaryDistanceMany:
@@ -571,7 +644,7 @@ class TestPinnedValues:
     def test_moebius_boundary_distance(self):
         zs = (0, 0.5, -0.3 + 0.4j, 0.6 - 0.6j)
         got = [boundary_distance(moebius_disk(), z) for z in zs]
-        assert got == [0.8999999999848717, 0.44999999999243584, 0.4506474641309885, 0.13692104546744543]
+        assert got == [0.8999999999848719, 0.44999999999243595, 0.4506474641309884, 0.13692104546744538]
         # the domain is the unit disk, so the sampled distance brackets the
         # closed form times the safety factor
         for z, dist in zip(zs, got):
